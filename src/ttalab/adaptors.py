@@ -218,14 +218,18 @@ class StepTrace:
 def adapt_steps(task: TaskModel, suite: ReconSuite, adaptors: AdaptorSet,
                 omega: Configuration, x, m_steps: int, lr: float = 3e-4,
                 loss_weights: tuple[float, float, float] = (1.0, 1.0, 1.0)) -> StepTrace:
-    """Run M adaptation iterations and snapshot the output at the lowest-eps_y step.
+    """Run M adaptation steps (M forwards, M-1 updates) and snapshot the lowest-eps_y output.
 
-    Each step: adapted forward, record eps_y, assemble the adaptation loss
-    (w_x*eps_x + w_mid*sum eps_i + w_y*eps_y), backprop, Adam update on the
-    input adaptor and the active level adaptors only. Step 1 therefore
-    evaluates the identity-initialised adaptors, so the returned best-step
-    eps_y can never exceed the unadapted error. A numeric failure mid-run is
-    recorded and the best snapshot so far (or the unadapted output) stands.
+    Each step: adapted forward, record eps_y and the adaptation loss
+    (w_x*eps_x + w_mid*sum eps_i + w_y*eps_y). Every step but the last then
+    backprops and takes an Adam update on the input adaptor and the active
+    level adaptors only; the last step's update would never be evaluated, so
+    it is not taken. Step 1 therefore evaluates the identity-initialised
+    adaptors, so the returned best-step eps_y can never exceed the unadapted
+    error, and with M=1 the adaptors are left untouched. A numeric failure
+    mid-run is recorded and the best snapshot so far (or the unadapted output)
+    stands; a failure only the skipped M-th update would have hit is not
+    recorded.
     """
     if m_steps < 1:
         raise ValueError("m_steps must be >= 1")
@@ -252,9 +256,10 @@ def adapt_steps(task: TaskModel, suite: ReconSuite, adaptors: AdaptorSet,
                 trace.best_eps_y = eps_y_val
                 trace.best_step = step
                 trace.best_output = ap.trace.output.data.copy()
-            zero_grads(params)
-            backward(loss)
-            adam_step(params, adam)
+            if step < m_steps:
+                zero_grads(params)
+                backward(loss)
+                adam_step(params, adam)
     except NumericError:
         trace.failed = True
     finally:

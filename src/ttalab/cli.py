@@ -13,9 +13,9 @@ import sys
 from pathlib import Path
 
 from .data import SyntheticTaskSpec
-from .pipeline import (RunConfig, calibration_errors, compare_strategies, ensure_dataset,
-                       ensure_suite, ensure_task, metrics_report, pipeline_run,
-                       read_report_csv, write_wilcoxon_csv)
+from .pipeline import (RunConfig, _runner, calibration_errors, compare_strategies,
+                       ensure_dataset, ensure_suite, ensure_task, metrics_report,
+                       pipeline_run, read_report_csv, write_wilcoxon_csv)
 from .search import calibrate_threshold
 
 
@@ -54,6 +54,13 @@ def _load_config(args) -> RunConfig:
     return cfg.with_overrides(**overrides) if overrides else cfg
 
 
+def _percentile(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value < 100.0:
+        raise argparse.ArgumentTypeError(f"{text} is not in (0, 100)")
+    return value
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config file; flags override it")
     p.add_argument("--workdir", help="working directory for artifacts")
@@ -63,8 +70,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 def _add_tta_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--strategy", choices=["grid", "rand10", "rand50", "fs", "be",
                                           "tpe", "static-all"])
-    p.add_argument("--percentile", type=float, choices=[85.0, 90.0, 95.0, 98.0],
-                   help="threshold percentile")
+    p.add_argument("--percentile", type=_percentile, help="threshold percentile in (0, 100)")
     p.add_argument("--steps", type=int, help="adaptation steps M per configuration")
     p.add_argument("--adaptor-lr", dest="adaptor_lr", type=float)
     p.add_argument("--tau-transductive", dest="tau_transductive", action="store_true",
@@ -195,11 +201,7 @@ def main(argv=None) -> int:
         out_dir = Path(cfg.workdir) / "traces"
         index = 0
         found = set()
-        from .search import TtaRunner
-        runner = TtaRunner(task=task, suite=suite, m_steps=cfg.steps,
-                           adaptor_lr=cfg.adaptor_lr, adaptor_width=cfg.adaptor_width,
-                           loss_weights=cfg.loss_weights, seed=cfg.seed,
-                           fs_faithful_pseudocode=cfg.fs_faithful_pseudocode)
+        runner = _runner(cfg, task, suite)
         out_dir.mkdir(parents=True, exist_ok=True)
         for split in ("id_test", "ood_test"):
             for sid, x, _ in dataset.samples[split]:

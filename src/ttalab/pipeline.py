@@ -199,14 +199,13 @@ def run_tta(cfg: RunConfig, task: TaskModel, suite: ReconSuite, dataset: Dataset
             sink = [] if trace_dir is not None else None
             outcome = runner.run_sample(x, cfg.strategy, tau,
                                         sample_index=sample_index, trace_sink=sink)
-            base_out, eps_unadapted = runner.unadapted(x)
-            mae_b, psnr_b, ssim_b = _image_metrics(base_out, y, cfg.psnr_max)
+            mae_b, psnr_b, ssim_b = _image_metrics(outcome.base_output, y, cfg.psnr_max)
             mae_t, psnr_t, ssim_t = _image_metrics(outcome.output, y, cfg.psnr_max)
             rows.append({
                 "sample_id": sid, "split": split,
                 "triggered": outcome.triggered,
                 "omega": str(outcome.omega_star) if outcome.omega_star else "",
-                "eps_unadapted": eps_unadapted, "eps_best": outcome.eps_best,
+                "eps_unadapted": outcome.eps_unadapted, "eps_best": outcome.eps_best,
                 "configs_evaluated": outcome.budget.configs_evaluated,
                 "adapt_steps_total": outcome.budget.adapt_steps_total,
                 "forwards_total": outcome.budget.forwards_total,
@@ -337,14 +336,11 @@ def _averaged_by_strategy(named_rows: list[tuple[str, list[dict]]]) -> dict[str,
         for rows in runs[1:]:
             if {r["sample_id"] for r in rows} != idset:
                 raise ValueError(f"sample-id mismatch across runs of {name}")
+        by_id = [{r["sample_id"]: r for r in rows} for rows in runs]
         merged = {}
         for sid in ids:
-            vals = {m: [] for m in _COMPARE_METRICS}
-            for rows in runs:
-                row = next(r for r in rows if r["sample_id"] == sid)
-                for m in _COMPARE_METRICS:
-                    vals[m].append(row[f"{m}_tta"])
-            merged[sid] = {m: float(np.nanmean(v)) for m, v in vals.items()}
+            merged[sid] = {m: float(np.nanmean([run[sid][f"{m}_tta"] for run in by_id]))
+                           for m in _COMPARE_METRICS}
         out[name] = merged
     return out
 

@@ -72,11 +72,15 @@ class ConfigEval:
 
 @dataclass
 class SearchOutcome:
+    """A search's result; TtaRunner.run_sample also fills in its gate pass."""
+
     omega_star: Configuration | None
     eps_best: float
     output: np.ndarray
     budget: SearchBudget
     triggered: bool
+    base_output: np.ndarray | None = None
+    eps_unadapted: float = math.nan
 
 
 class MockObjective:
@@ -387,15 +391,17 @@ class TtaRunner:
 
         Untriggered samples return the unadapted output untouched with an
         all-zero budget. static-all skips the gate and always adapts with the
-        full configuration (approximating static TTA at every level).
+        full configuration (approximating static TTA at every level). Every
+        outcome carries the one gate pass as base_output and eps_unadapted.
         """
         if strategy not in STRATEGY_NAMES:
             raise ValueError(f"unknown strategy {strategy!r}; pick one of {STRATEGY_NAMES}")
         output, eps_unadapted = self.unadapted(x)
         fired = True if strategy == "static-all" else trigger(eps_unadapted, tau)
         if not fired:
-            return SearchOutcome(omega_star=None, eps_best=eps_unadapted,
-                                 output=output, budget=SearchBudget(), triggered=False)
+            return SearchOutcome(omega_star=None, eps_best=eps_unadapted, output=output,
+                                 budget=SearchBudget(), triggered=False,
+                                 base_output=output, eps_unadapted=eps_unadapted)
         ctx = AdaptEvaluator(task=self.task, suite=self.suite,
                              x=np.asarray(x, dtype=np.float32), m_steps=self.m_steps,
                              seed=self.seed, sample_index=sample_index,
@@ -424,6 +430,7 @@ class TtaRunner:
             outcome = _outcome(ctx, cfg, ev)
         if outcome.omega_star is None or outcome.output is None:
             # every evaluation failed: report the unadapted result
-            return SearchOutcome(omega_star=None, eps_best=eps_unadapted, output=output,
-                                 budget=ctx.budget, triggered=True)
+            outcome = SearchOutcome(omega_star=None, eps_best=eps_unadapted, output=output,
+                                    budget=ctx.budget, triggered=True)
+        outcome.base_output, outcome.eps_unadapted = output, eps_unadapted
         return outcome

@@ -265,26 +265,33 @@ def _im2col(x4: np.ndarray, kh: int, kw: int, stride: int) -> tuple[np.ndarray, 
     return np.ascontiguousarray(cols), ho, wo
 
 
-def _col2im_add(dcols: np.ndarray, b: int, c: int, hp: int, wp: int,
-                kh: int, kw: int, stride: int, ho: int, wo: int) -> np.ndarray:
-    # accumulate in [C,B,H,W] layout to keep the per-tap adds transpose-free
-    dx = np.zeros((c, b, hp, wp), dtype=np.float32)
-    d6 = dcols.reshape(c, kh, kw, b, ho, wo)
-    for i in range(kh):
-        for j in range(kw):
-            dx[:, :, i:i + stride * (ho - 1) + 1:stride,
-               j:j + stride * (wo - 1) + 1:stride] += d6[:, i, j]
-    return dx.transpose(1, 0, 2, 3)
+def _correlate(xp: np.ndarray, kmat: np.ndarray, kh: int, kw: int,
+               stride: int) -> tuple[np.ndarray, np.ndarray]:
+    """Valid cross-correlation of padded [B,C,H,W] with kmat [C_out, C*kh*kw] as one GEMM.
+
+    Returns the [B,C_out,Ho,Wo] result and the im2col matrix it multiplied.
+    """
+    cols, ho, wo = _im2col(xp, kh, kw, stride)
+    out = (kmat @ cols).reshape(kmat.shape[0], xp.shape[0], ho, wo).transpose(1, 0, 2, 3)
+    return np.ascontiguousarray(out), cols
 
 
 def conv2d(input: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
-    """Cross-correlation of [C_in,H,W] (or batched) input with [C_out,C_in,kH,kW] kernel."""
+    """Cross-correlation of [C_in,H,W] (or batched) input with [C_out,C_in,kH,kW] kernel.
+
+    The input gradient is itself one valid correlation: the output gradient,
+    dilated by the stride and zero-padded by kH-1-padding, against the
+    spatially flipped, channel-transposed kernel. Only a trainable kernel
+    keeps the forward im2col matrix for its own gradient.
+    """
     x4, squeeze = _as_batched(input.data)
     if kernel.data.ndim != 4:
         raise ValueError(f"kernel must be [C_out,C_in,kH,kW], got rank {kernel.data.ndim}")
     cout, cin, kh, kw = kernel.data.shape
     if kh % 2 == 0 or kw % 2 == 0:
         raise ValueError(f"kernel spatial dims must be odd, got {kh}x{kw}")
+    if not 0 <= padding < min(kh, kw):
+        raise ValueError(f"padding must be in [0, kernel size), got {padding} for {kh}x{kw}")
     b, c, h, w = x4.shape
     if c != cin:
         raise ValueError(f"channel mismatch: input has {c}, kernel expects {cin}")
@@ -298,25 +305,27 @@ def conv2d(input: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> 
         xp[:, :, padding:padding + h, padding:padding + w] = x4
     else:
         xp = x4
-    cols, ho, wo = _im2col(xp, kh, kw, stride)
-    kmat = kernel.data.reshape(cout, cin * kh * kw)
-    out = np.ascontiguousarray((kmat @ cols).reshape(cout, b, ho, wo).transpose(1, 0, 2, 3))
+    out, cols = _correlate(xp, kernel.data.reshape(cout, cin * kh * kw), kh, kw, stride)
     if squeeze:
         out = out[0]
-    hp, wp = xp.shape[2], xp.shape[3]
+    if not kernel.requires_grad:
+        cols = None
 
     def bwd(outT: Tensor) -> None:
         g = outT.grad
         g4 = g[None] if squeeze else g
-        gmat = g4.transpose(1, 0, 2, 3).reshape(cout, b * ho * wo)
-        if kernel.requires_grad:
+        if cols is not None:
+            gmat = g4.transpose(1, 0, 2, 3).reshape(cout, b * ho * wo)
             kernel._accumulate((gmat @ cols.T).reshape(cout, cin, kh, kw))
         if input.requires_grad:
-            dcols = kmat.T @ gmat
-            dxp = _col2im_add(dcols, b, cin, hp, wp, kh, kw, stride, ho, wo)
-            if padding:
-                dxp = dxp[:, :, padding:hp - padding, padding:wp - padding]
-            input._accumulate(dxp[0] if squeeze else dxp)
+            # padding < kernel size keeps every output position inside the buffer
+            top, left = kh - 1 - padding, kw - 1 - padding
+            gz = np.zeros((b, cout, h + kh - 1, w + kw - 1), dtype=np.float32)
+            gz[:, :, top:top + stride * (ho - 1) + 1:stride,
+               left:left + stride * (wo - 1) + 1:stride] = g4
+            kflip = kernel.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+            dx, _ = _correlate(gz, kflip.reshape(cin, cout * kh * kw), kh, kw, 1)
+            input._accumulate(dx[0] if squeeze else dx)
 
     return _from_op(out, (input, kernel), bwd, "conv2d")
 
@@ -332,20 +341,21 @@ def conv2d_1x1(input: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     if bias.data.shape != (cout,):
         raise ValueError(f"bias must be [{cout}], got {bias.data.shape}")
     w2 = kernel.data.reshape(cout, cin)
-    out = np.einsum("oc,bchw->bohw", w2, x4, optimize=True) + bias.data[None, :, None, None]
+    b, _, h, w = x4.shape
+    x3 = x4.reshape(b, cin, h * w)
+    out = (w2 @ x3).reshape(b, cout, h, w) + bias.data[None, :, None, None]
     if squeeze:
         out = out[0]
 
     def bwd(outT: Tensor) -> None:
-        g = outT.grad
-        g4 = g[None] if squeeze else g
+        g3 = outT.grad.reshape(b, cout, h * w)
         if kernel.requires_grad:
-            dw = np.einsum("bohw,bchw->oc", g4, x4, optimize=True)
+            dw = np.tensordot(g3, x3, axes=([0, 2], [0, 2]))
             kernel._accumulate(dw.reshape(cout, cin, 1, 1))
         if bias.requires_grad:
-            bias._accumulate(g4.sum(axis=(0, 2, 3)))
+            bias._accumulate(g3.sum(axis=(0, 2)))
         if input.requires_grad:
-            dx = np.einsum("oc,bohw->bchw", w2, g4, optimize=True)
+            dx = (w2.T @ g3).reshape(x4.shape)
             input._accumulate(dx[0] if squeeze else dx)
 
     return _from_op(out, (input, kernel, bias), bwd, "conv2d_1x1")

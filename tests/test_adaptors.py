@@ -121,6 +121,17 @@ class TestAdaptSteps:
         assert len(trace.steps) == 1
         assert trace.steps[0].step == 1
 
+    def test_single_step_takes_no_update(self, small_stack):
+        ds, task, suite = small_stack
+        adaptors = init_adaptors(task, seed=0)
+        before = [p.data.copy() for p in adaptors.params()]
+        trace = adapt_steps(task, suite, adaptors, Configuration.of([1, 2, 3]),
+                            sample_x(ds), m_steps=1)
+        assert [s.step for s in trace.steps] == [1]
+        assert trace.best_step == 1 and not trace.failed
+        for b, p in zip(before, adaptors.params()):
+            assert np.array_equal(b, p.data)
+
     def test_best_step_never_worse_than_first(self, small_stack):
         ds, task, suite = small_stack
         for idx, (x, _) in enumerate(ds.pairs("ood_test")[:4]):

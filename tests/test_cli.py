@@ -77,6 +77,33 @@ def test_dump_traces(cli_workspace, capsys):
     assert "trace files" in out
 
 
+def test_dump_traces_honours_tpe_config(cli_workspace, tmp_path, capsys):
+    root, cfg = cli_workspace
+    tpe_cfg = tmp_path / "tpe.json"
+    tpe_cfg.write_text(json.dumps({**json.loads(cfg.read_text()),
+                                   "tpe_trials": 3, "tpe_start": 2}))
+    assert main(["dump-traces", "--config", str(tpe_cfg), "--strategy", "tpe",
+                 "--tau-transductive", "--percentile", "5",
+                 "--sample-id", "ood_test-0000"]) == 0
+    payload = json.loads((root / "w" / "traces" / "ood_test-0000.json").read_text())
+    assert len(payload["traces"]) == 3
+
+
+def test_percentile_takes_any_value_inside_range(cli_workspace, capsys):
+    _, cfg = cli_workspace
+    assert main(["calibrate", "--config", str(cfg), "--percentile", "99.5"]) == 0
+    assert "p99.5" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("value", ["100", "0", "nan"])
+def test_percentile_outside_range_rejected(cli_workspace, capsys, value):
+    _, cfg = cli_workspace
+    with pytest.raises(SystemExit) as exit_info:
+        main(["calibrate", "--config", str(cfg), "--percentile", value])
+    assert exit_info.value.code == 2
+    assert "not in (0, 100)" in capsys.readouterr().err
+
+
 def test_unknown_strategy_flag_rejected(cli_workspace):
     _, cfg = cli_workspace
     with pytest.raises(SystemExit):

@@ -29,6 +29,24 @@ def conv2d_reference(x, k, stride, padding):
     return out
 
 
+def conv2d_reference_grads(x, k, g, stride, padding):
+    """Loop adjoint of conv2d_reference: gradients of sum(g * out) w.r.t. x and k."""
+    cout, cin, kh, kw = k.shape
+    _, h, w = x.shape
+    xp = np.pad(x, ((0, 0), (padding, padding), (padding, padding))).astype(np.float64)
+    dxp = np.zeros_like(xp)
+    dk = np.zeros(k.shape, dtype=np.float64)
+    for o in range(cout):
+        for i in range(g.shape[1]):
+            for j in range(g.shape[2]):
+                for ci in range(cin):
+                    for a in range(kh):
+                        for b in range(kw):
+                            dxp[ci, i * stride + a, j * stride + b] += g[o, i, j] * k[o, ci, a, b]
+                            dk[o, ci, a, b] += g[o, i, j] * xp[ci, i * stride + a, j * stride + b]
+    return dxp[:, padding:padding + h, padding:padding + w], dk
+
+
 class TestConv2d:
     def test_scaling_identity(self):
         x = Tensor(np.ones((1, 3, 3), np.float32))
@@ -65,6 +83,37 @@ class TestConv2d:
         for b in range(4):
             single = conv2d(Tensor(xb[b]), Tensor(k), stride=2, padding=1).data
             assert np.array_equal(out[b], single)
+
+    @pytest.mark.parametrize("batched", [False, True])
+    @pytest.mark.parametrize("ksize", [3, 5])
+    @pytest.mark.parametrize("size", [(7, 7), (6, 8)])
+    @pytest.mark.parametrize("padding", [0, 1, 2])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_grads_match_loop_adjoint(self, stride, padding, size, ksize, batched):
+        local = np.random.default_rng(stride * 1000 + padding * 100 + size[1] * 10 + ksize)
+        xs = local.normal(size=(2, 3) + size).astype(np.float32)
+        k = local.normal(size=(2, 3, ksize, ksize)).astype(np.float32)
+        ref = [conv2d_reference(xb, k, stride, padding) for xb in xs]
+        gs = local.normal(size=(2,) + ref[0].shape).astype(np.float32)
+        x_t = Tensor(xs if batched else xs[0], requires_grad=True)
+        k_t = Tensor(k, requires_grad=True)
+        g_t = Tensor(gs if batched else gs[0])
+        backward(T.tensor_sum(T.mul(conv2d(x_t, k_t, stride=stride, padding=padding), g_t)))
+        dk_ref = np.zeros(k.shape)
+        for b in range(2 if batched else 1):
+            dx_ref, dk_b = conv2d_reference_grads(xs[b], k, gs[b], stride, padding)
+            # the loop adjoint is the oracle's adjoint: <g, conv(x,k)> = <dx, x> = <dk, k>
+            # (the oracle multiplies in float32, hence the relative 1e-5)
+            assert np.sum(gs[b] * ref[b]) == pytest.approx(np.sum(dx_ref * xs[b]), rel=1e-5)
+            assert np.sum(gs[b] * ref[b]) == pytest.approx(np.sum(dk_b * k), rel=1e-5)
+            dx = x_t.grad[b] if batched else x_t.grad
+            assert np.abs(dx - dx_ref).max() < 1e-4
+            dk_ref += dk_b
+        assert np.abs(k_t.grad - dk_ref).max() < 1e-4
+
+    def test_padding_not_below_kernel_rejected(self):
+        with pytest.raises(ValueError, match="padding"):
+            conv2d(Tensor(np.zeros((1, 4, 4))), Tensor(np.zeros((1, 1, 3, 3))), padding=3)
 
     def test_channel_mismatch(self):
         with pytest.raises(ValueError, match="channel mismatch"):

@@ -224,12 +224,12 @@ def adapt_steps(task: TaskModel, suite: ReconSuite, adaptors: AdaptorSet,
     (w_x*eps_x + w_mid*sum eps_i + w_y*eps_y). Every step but the last then
     backprops and takes an Adam update on the input adaptor and the active
     level adaptors only; the last step's update would never be evaluated, so
-    it is not taken. Step 1 therefore evaluates the identity-initialised
-    adaptors, so the returned best-step eps_y can never exceed the unadapted
-    error, and with M=1 the adaptors are left untouched. A numeric failure
-    mid-run is recorded and the best snapshot so far (or the unadapted output)
-    stands; a failure only the skipped M-th update would have hit is not
-    recorded.
+    it is not taken and the last forward runs off the tape. Step 1 therefore
+    evaluates the identity-initialised adaptors, so the returned best-step
+    eps_y can never exceed the unadapted error, and with M=1 the adaptors are
+    left untouched. A numeric failure mid-run is recorded and the best
+    snapshot so far (or the unadapted output) stands; a failure only the
+    skipped M-th update would have hit is not recorded.
     """
     if m_steps < 1:
         raise ValueError("m_steps must be >= 1")
@@ -242,7 +242,11 @@ def adapt_steps(task: TaskModel, suite: ReconSuite, adaptors: AdaptorSet,
     trace = StepTrace(omega=omega.active)
     try:
         for step in range(1, m_steps + 1):
-            ap = _adapted_pass(task, suite, adaptors, omega, xt)
+            if step < m_steps:
+                ap = _adapted_pass(task, suite, adaptors, omega, xt)
+            else:
+                with T.no_grad():  # no backward follows the last pass
+                    ap = _adapted_pass(task, suite, adaptors, omega, xt)
             eps_y_val = ap.eps_y.item()
             loss = T.scale(ap.eps_y, w_y)
             loss = T.add(loss, T.scale(ap.eps_x, w_x))

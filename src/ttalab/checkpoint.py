@@ -54,14 +54,15 @@ def _named_layer_params(layers) -> list[tuple[str, Tensor]]:
     return out
 
 
-def save_task(model: TaskModel, path) -> None:
+def save_task(model: TaskModel, path, provenance: dict | None = None) -> None:
+    """provenance: what the model was built from, kept verbatim in the manifest."""
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
     entries = _write_params(root, _named_layer_params(model.layers))
     manifest = {"kind": "task_model", "version": _CKPT_VERSION,
                 "config": model.config_dict(),
                 "layer_specs": [layer.spec.to_dict() for layer in model.layers],
-                "params": entries}
+                "params": entries, "provenance": provenance}
     (root / "manifest.json").write_text(json.dumps(manifest, indent=2))
 
 
@@ -84,7 +85,8 @@ def load_task(path) -> TaskModel:
     return model
 
 
-def save_suite(suite: ReconSuite, path) -> None:
+def save_suite(suite: ReconSuite, path, provenance: dict | None = None) -> None:
+    """provenance: what the suite was built from, kept verbatim in the manifest."""
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
     members = {}
@@ -100,7 +102,7 @@ def save_suite(suite: ReconSuite, path) -> None:
         members[str(key)] = {"dir": sub, "trained": bool(suite.trained[key])}
     manifest = {"kind": "recon_suite", "version": _CKPT_VERSION,
                 "task_layers": suite.n_layers, "num_levels": suite.num_levels,
-                "seed": suite.seed, "members": members}
+                "seed": suite.seed, "members": members, "provenance": provenance}
     (root / "manifest.json").write_text(json.dumps(manifest, indent=2))
 
 

@@ -52,17 +52,9 @@ class ConvLayer:
 
     def forward(self, x: Tensor) -> Tensor:
         s = self.spec
-        if s.upsample:
-            x = T.upsample_nearest(x, 2)
-        out = T.conv2d(x, self.weight, stride=s.stride, padding=s.kernel // 2)
-        out = T.add(out, T.reshape(self.bias, (s.out_ch, 1, 1)))
-        if s.activation == "lrelu":
-            return T.leaky_relu(out, 0.2)
-        if s.activation == "tanh":
-            return T.tanh(out)
-        if s.activation == "linear":
-            return out
-        raise ValueError(f"unknown activation {s.activation!r}")
+        return T.conv_layer(x, self.weight, self.bias, stride=s.stride,
+                            padding=s.kernel // 2, activation=s.activation,
+                            upsample=s.upsample)
 
 
 def set_requires_grad(params: list[Tensor], flag: bool) -> None:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import logging
 import time
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -23,6 +24,8 @@ from .recon import ReconSuite, train_recon_suite, unadapted_output_error
 from .search import STRATEGY_NAMES, TtaRunner, calibrate_threshold
 from .tasknet import TaskModel, train_task
 from .tensor import LrSchedule
+
+log = logging.getLogger(__name__)
 
 REPORT_SCHEMA_VERSION = 1
 REPORT_COLUMNS = [
@@ -104,7 +107,8 @@ class RunConfig:
 
 
 # ---------------------------------------------------------------------------
-# stage functions (each reuses an existing artifact when the config matches)
+# stage functions (each reuses an existing artifact only when everything that
+# produced it matches: its config slice and the upstream artifact's hash)
 
 
 def ensure_dataset(cfg: RunConfig) -> Dataset:
@@ -116,42 +120,63 @@ def ensure_dataset(cfg: RunConfig) -> Dataset:
     return gen_dataset(cfg.data, ddir)
 
 
+def _dataset_sha(cfg: RunConfig) -> str:
+    return json.loads((Path(cfg.workdir) / "data" / "index.json").read_text())["content_sha256"]
+
+
+def _reusable(root: Path, provenance: dict) -> bool:
+    """True when the checkpoint under root was saved with this provenance."""
+    if not (root / "manifest.json").exists():
+        return False
+    saved = json.loads((root / "manifest.json").read_text()).get("provenance")
+    if saved != provenance:
+        log.info("%s was built from %s, the config asks for %s; retraining",
+                 root, saved, provenance)
+        return False
+    return True
+
+
 def _task_matches(model: TaskModel, cfg: RunConfig) -> bool:
     c = model.config_dict()
     return (c["n_layers"] == cfg.n_layers and c["base_channels"] == cfg.base_channels
             and c["max_channels"] == cfg.max_channels and c["seed"] == cfg.seed
-            and c["image_size"] == cfg.data.image_size
-            and c["trained_epochs"] == cfg.task_schedule().total_epochs)
+            and c["image_size"] == cfg.data.image_size)
 
 
 def ensure_task(cfg: RunConfig, dataset: Dataset) -> TaskModel:
     tdir = Path(cfg.workdir) / "task"
-    if (tdir / "manifest.json").exists():
+    provenance = {"dataset_sha256": _dataset_sha(cfg),
+                  "schedule": asdict(cfg.task_schedule()), "batch_size": cfg.batch_size}
+    if _reusable(tdir, provenance):
         model = load_task(tdir)
         if _task_matches(model, cfg):
             return model
+        log.info("task model under %s has another architecture or seed; retraining", tdir)
     model = TaskModel(n_layers=cfg.n_layers, io_channels=1, image_size=cfg.data.image_size,
                       base_channels=cfg.base_channels, max_channels=cfg.max_channels,
                       seed=cfg.seed)
     train_task(model, dataset.pairs("train"), cfg.task_schedule(),
                seed=cfg.seed, batch_size=cfg.batch_size)
-    save_task(model, tdir)
+    save_task(model, tdir, provenance=provenance)
     return model
 
 
 def ensure_suite(cfg: RunConfig, task: TaskModel, dataset: Dataset) -> ReconSuite:
     sdir = Path(cfg.workdir) / "recon"
-    if (sdir / "manifest.json").exists():
+    provenance = {"task_checksum": task.checksum(),
+                  "schedule": asdict(cfg.recon_schedule()), "batch_size": cfg.batch_size}
+    if _reusable(sdir, provenance):
         try:
             suite = load_suite(sdir, task)
             if suite.all_trained():
                 return suite
-        except ValueError:
-            pass
+            log.info("suite under %s is not fully trained; retraining", sdir)
+        except ValueError as err:
+            log.warning("suite under %s does not load (%s); retraining", sdir, err)
     suite = ReconSuite(task, seed=cfg.seed)
     train_recon_suite(suite, task, dataset.pairs("train"), cfg.recon_schedule(),
                       seed=cfg.seed, batch_size=cfg.batch_size)
-    save_suite(suite, sdir)
+    save_suite(suite, sdir, provenance=provenance)
     return suite
 
 
@@ -267,7 +292,9 @@ def write_budget_csv(rows: list[dict], path: Path) -> None:
             writer.writerow({k: r[k] for k in cols})
 
 
-def build_summary(cfg: RunConfig, tau: float, rows: list[dict], runtime_s: float) -> dict:
+def build_summary(cfg: RunConfig, tau: float, rows: list[dict],
+                  stage_seconds: dict[str, float]) -> dict:
+    """Aggregates of one run; runtime_seconds is the tta stage alone."""
     rep_tta = metrics_report(rows, "tta")
     rep_base = metrics_report(rows, "base")
     triggered = [r for r in rows if r["triggered"]]
@@ -285,23 +312,35 @@ def build_summary(cfg: RunConfig, tau: float, rows: list[dict], runtime_s: float
         },
         "with_tta": rep_tta.summary(),
         "no_tta": rep_base.summary(),
-        "runtime_seconds": runtime_s,
+        "runtime_seconds": stage_seconds["tta"],
+        "stage_seconds": stage_seconds,
     }
 
 
 def pipeline_run(cfg: RunConfig) -> RunReport:
     """train T -> train suite -> calibrate tau -> adapt test set -> artifacts."""
-    start = time.time()
-    dataset = ensure_dataset(cfg)
-    task = ensure_task(cfg, dataset)
-    suite = ensure_suite(cfg, task, dataset)
-    errors = calibration_errors(task, suite, dataset, transductive=cfg.tau_transductive)
-    tau = calibrate_threshold(errors, cfg.percentile)
+    stage_seconds: dict[str, float] = {}
+
+    def stage(name, fn, *args, **kwargs):
+        start = time.perf_counter()
+        out = fn(*args, **kwargs)
+        stage_seconds[name] = time.perf_counter() - start
+        return out
+
+    dataset = stage("data", ensure_dataset, cfg)
+    task = stage("task", ensure_task, cfg, dataset)
+    suite = stage("suite", ensure_suite, cfg, task, dataset)
+
+    def calibrate() -> float:
+        errors = calibration_errors(task, suite, dataset, transductive=cfg.tau_transductive)
+        return calibrate_threshold(errors, cfg.percentile)
+
+    tau = stage("calibrate", calibrate)
     run_dir = Path(cfg.workdir) / "runs" / cfg.run_name()
     run_dir.mkdir(parents=True, exist_ok=True)
     trace_dir = run_dir / "traces" if cfg.dump_traces else None
-    rows = run_tta(cfg, task, suite, dataset, tau, trace_dir=trace_dir)
-    summary = build_summary(cfg, tau, rows, runtime_s=time.time() - start)
+    rows = stage("tta", run_tta, cfg, task, suite, dataset, tau, trace_dir=trace_dir)
+    summary = build_summary(cfg, tau, rows, stage_seconds)
     write_report_csv(rows, run_dir / "report.csv")
     write_budget_csv(rows, run_dir / "budget.csv")
     (run_dir / "summary.json").write_text(json.dumps(summary, indent=2))
@@ -309,8 +348,7 @@ def pipeline_run(cfg: RunConfig) -> RunReport:
         "schema_version": REPORT_SCHEMA_VERSION,
         "config": cfg.to_dict(),
         "tau": tau,
-        "dataset_sha256": json.loads((Path(cfg.workdir) / "data" / "index.json")
-                                     .read_text())["content_sha256"],
+        "dataset_sha256": _dataset_sha(cfg),
         "task_checksum": task.checksum(),
         "suite_checksum": suite.checksum(),
     }

@@ -2,7 +2,8 @@
 
 The op set is the minimum closure needed by the networks in this package:
 conv2d (incl. stride-2 downsampling), 1x1 conv, nearest-neighbour upsample,
-LeakyReLU / tanh / sigmoid, channel concat, broadcasted add/mul, L1 and MSE.
+LeakyReLU / tanh / sigmoid, channel concat, broadcasted add/mul, L1 and MSE,
+plus conv_layer, which runs upsample, conv2d, bias and activation as one node.
 Everything is float32; any NaN/Inf produced by an op raises NumericError
 instead of propagating.
 
@@ -230,15 +231,32 @@ def concat_channels(a: Tensor, b: Tensor) -> Tensor:
     return _from_op(data, (a, b), bwd, "concat_channels")
 
 
+def _upsample(x: np.ndarray, factor: int) -> np.ndarray:
+    return x.repeat(factor, axis=-2).repeat(factor, axis=-1)
+
+
+def _upsample_grad(g: np.ndarray, factor: int) -> np.ndarray:
+    """Gradient of a nearest upsample: the sum of its factor² strided slices.
+
+    Each row phase is summed over its column phases first, then the rows are
+    summed, which is the order of g.reshape(..., h, f, w, f).sum(axis=(-3, -1))
+    at a tenth of its cost.
+    """
+    out = None
+    for i in range(factor):
+        row = g[..., i::factor, ::factor].copy()
+        for j in range(1, factor):
+            row += g[..., i::factor, j::factor]
+        out = row if out is None else np.add(out, row, out=out)
+    return out
+
+
 def upsample_nearest(a: Tensor, factor: int = 2) -> Tensor:
-    data = a.data.repeat(factor, axis=-2).repeat(factor, axis=-1)
+    data = _upsample(a.data, factor)
 
     def bwd(out: Tensor) -> None:
         if a.requires_grad:
-            g = out.grad
-            h, w = a.data.shape[-2], a.data.shape[-1]
-            g = g.reshape(g.shape[:-2] + (h, factor, w, factor))
-            a._accumulate(g.sum(axis=(-3, -1)))
+            a._accumulate(_upsample_grad(out.grad, factor))
 
     return _from_op(data, (a,), bwd, "upsample_nearest")
 
@@ -328,6 +346,56 @@ def conv2d(input: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> 
             input._accumulate(dx[0] if squeeze else dx)
 
     return _from_op(out, (input, kernel), bwd, "conv2d")
+
+
+_LRELU_SLOPE = np.float32(0.2)
+_ACTIVATIONS = ("lrelu", "tanh", "linear")
+
+
+def conv_layer(input: Tensor, weight: Tensor, bias: Tensor, stride: int = 1,
+               padding: int = 0, activation: str = "linear",
+               upsample: bool = False) -> Tensor:
+    """One conv layer as one tape node: optional nearest x2 upsample, conv2d,
+    bias [C_out], then LeakyReLU(0.2), tanh or nothing.
+
+    The convolution is the module-level conv2d call, so its own finite check
+    runs before the activation (tanh would turn an overflowed +inf into 1)
+    and anything that replaces conv2d sees every layer's convolution. The
+    bias and activation are applied in place on the conv output. The
+    backward applies the activation mask, sums the bias gradient, runs the
+    conv node's own backward and sums the upsample's strided slices.
+    """
+    if activation not in _ACTIVATIONS:
+        raise ValueError(f"unknown activation {activation!r}")
+    if bias.data.shape != (weight.data.shape[0],):
+        raise ValueError(f"bias must be [{weight.data.shape[0]}], got {bias.data.shape}")
+    x = Tensor(_upsample(input.data, 2), input.requires_grad) if upsample else input
+    conv = conv2d(x, weight, stride=stride, padding=padding)
+    z = conv.data
+    z += bias.data[:, None, None]
+    if activation == "lrelu":
+        np.maximum(z, z * _LRELU_SLOPE, out=z)
+    elif activation == "tanh":
+        np.tanh(z, out=z)
+
+    def bwd(out: Tensor) -> None:
+        g = out.grad
+        if activation == "lrelu":
+            g = np.where(z > 0, g, g * _LRELU_SLOPE)  # z > 0 exactly where its input was
+        elif activation == "tanh":
+            g = g * (1.0 - z * z)
+        if bias.requires_grad:
+            # same summation order as add's broadcast reduction
+            bias._accumulate((g.sum(axis=0) if g.ndim == 4 else g).sum(axis=(1, 2)))
+        if conv._backward is not None:
+            conv.grad = g
+            conv._backward(conv)
+            conv.grad = None
+        if upsample and x.grad is not None:
+            input._accumulate(_upsample_grad(x.grad, 2))
+            x.grad = None
+
+    return _from_op(z, (input, weight, bias), bwd, "conv_layer")
 
 
 def conv2d_1x1(input: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:

@@ -1,6 +1,10 @@
+import contextlib
+
 import numpy as np
 import pytest
 
+import ttalab.adaptors as A
+import ttalab.tensor as T
 from ttalab.adaptors import (Configuration, adapt_steps, adapted_forward,
                              init_adaptors)
 from ttalab.recon import unadapted_output_error
@@ -131,6 +135,29 @@ class TestAdaptSteps:
         assert trace.best_step == 1 and not trace.failed
         for b, p in zip(before, adaptors.params()):
             assert np.array_equal(b, p.data)
+
+    def test_last_forward_untaped_with_identical_records(self, small_stack, monkeypatch):
+        ds, task, suite = small_stack
+        omega = Configuration.of([1, 2, 3])
+        taped = []
+        inner = A._adapted_pass
+
+        def recording(*args):
+            taped.append(T.grad_enabled())
+            return inner(*args)
+
+        monkeypatch.setattr(A, "_adapted_pass", recording)
+        trace = adapt_steps(task, suite, init_adaptors(task, seed=0), omega,
+                            sample_x(ds), m_steps=4)
+        assert taped == [True, True, True, False]
+        # the same run with the last pass on the tape gives the same records
+        monkeypatch.setattr(A.T, "no_grad", contextlib.nullcontext)
+        ref = adapt_steps(task, suite, init_adaptors(task, seed=0), omega,
+                          sample_x(ds), m_steps=4)
+        assert taped[4:] == [True] * 4
+        assert [s.to_dict() for s in trace.steps] == [s.to_dict() for s in ref.steps]
+        assert trace.best_step == ref.best_step
+        assert np.array_equal(trace.best_output, ref.best_output)
 
     def test_best_step_never_worse_than_first(self, small_stack):
         ds, task, suite = small_stack

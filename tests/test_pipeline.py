@@ -1,8 +1,10 @@
 import json
+import logging
 
 import numpy as np
 import pytest
 
+import ttalab.pipeline as P
 from ttalab.data import SyntheticTaskSpec
 from ttalab.pipeline import (RunConfig, compare_strategies, metrics_report,
                              pipeline_run, read_report_csv, write_wilcoxon_csv)
@@ -198,6 +200,14 @@ class TestSummary:
                 assert s["with_tta"][scope][m]["std"] >= 0 or \
                     np.isnan(s["with_tta"][scope][m]["std"])
 
+    def test_stage_seconds(self, tiny_run):
+        _, report = tiny_run
+        s = json.loads((report.run_dir / "summary.json").read_text())
+        stages = s["stage_seconds"]
+        assert set(stages) == {"data", "task", "suite", "calibrate", "tta"}
+        assert all(v >= 0 for v in stages.values())
+        assert s["runtime_seconds"] == stages["tta"]
+
     def test_metrics_report_subset(self, tiny_run):
         _, report = tiny_run
         rep = metrics_report(report.rows, "tta")
@@ -216,3 +226,73 @@ class TestTraces:
             assert len(files) == len(triggered)
             payload = json.loads(files[0].read_text())
             assert "traces" in payload and len(payload["traces"]) >= 1
+
+
+class TestArtifactReuse:
+    """A stage reuses its artifact only when its config slice and upstream hash match."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        calls = {"task": 0, "suite": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(P, "train_task", counting("task", P.train_task))
+        monkeypatch.setattr(P, "train_recon_suite", counting("suite", P.train_recon_suite))
+        return calls
+
+    @staticmethod
+    def build(cfg):
+        dataset = P.ensure_dataset(cfg)
+        task = P.ensure_task(cfg, dataset)
+        suite = P.ensure_suite(cfg, task, dataset)
+        return task.checksum(), suite.checksum()
+
+    @staticmethod
+    def config(workdir, **data):
+        spec = dict(train=8, calib=2, id_test=2, ood_test=2, image_size=16, seed=5)
+        spec.update(data)
+        return RunConfig(workdir=str(workdir), data=SyntheticTaskSpec(**spec), n_layers=5,
+                         base_channels=4, max_channels=8, task_hold=1, task_decay=0,
+                         recon_hold=1, recon_decay=0)
+
+    def test_unchanged_config_reuses_both(self, tmp_path, counted):
+        cfg = self.config(tmp_path)
+        first = self.build(cfg)
+        assert self.build(cfg) == first
+        assert counted == {"task": 1, "suite": 1}
+
+    def test_changed_noise_retrains_task_and_suite(self, tmp_path, counted):
+        first = self.build(self.config(tmp_path))
+        second = self.build(self.config(tmp_path, noise_sigma=0.5))
+        assert counted == {"task": 2, "suite": 2}
+        assert second[0] != first[0] and second[1] != first[1]
+
+    @pytest.mark.parametrize("override", [dict(task_lr=1e-3), dict(batch_size=4)])
+    def test_changed_task_training_retrains_task_and_suite(self, tmp_path, counted, override):
+        cfg = self.config(tmp_path)
+        self.build(cfg)
+        self.build(cfg.with_overrides(**override))
+        assert counted == {"task": 2, "suite": 2}
+
+    def test_changed_recon_schedule_retrains_suite_only(self, tmp_path, counted):
+        cfg = self.config(tmp_path)
+        self.build(cfg)
+        self.build(cfg.with_overrides(recon_lr=5e-4))
+        assert counted == {"task": 1, "suite": 2}
+
+    def test_unloadable_suite_logged_and_retrained(self, tmp_path, counted, caplog):
+        cfg = self.config(tmp_path)
+        self.build(cfg)
+        blob = next((tmp_path / "recon").glob("member_*/layer0.weight.tnsr"))
+        data = bytearray(blob.read_bytes())
+        data[-1] ^= 0xFF  # the manifest's sha256 no longer matches
+        blob.write_bytes(bytes(data))
+        with caplog.at_level(logging.WARNING, logger=P.__name__):
+            self.build(cfg)
+        assert counted == {"task": 1, "suite": 2}
+        assert "retraining" in caplog.text

@@ -128,6 +128,86 @@ class TestConv2d:
             conv2d(Tensor(np.zeros((1, 2, 2))), Tensor(np.zeros((1, 1, 5, 5))))
 
 
+def _unfused_layer(x, k, b, stride, activation, upsample):
+    """The layer as separate tape ops: the reference conv_layer must match."""
+    if upsample:
+        x = T.upsample_nearest(x, 2)
+    out = T.add(conv2d(x, k, stride=stride, padding=1), T.reshape(b, (k.shape[0], 1, 1)))
+    if activation == "lrelu":
+        return T.leaky_relu(out, 0.2)
+    if activation == "tanh":
+        return T.tanh(out)
+    return out
+
+
+def _rel_err(got, ref):
+    return np.abs(got - ref).max() / max(np.abs(ref).max(), 1e-30)
+
+
+class TestConvLayer:
+    @pytest.mark.parametrize("trainable", [False, True])
+    @pytest.mark.parametrize("batched", [False, True])
+    @pytest.mark.parametrize("upsample", [False, True])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("activation", ["lrelu", "tanh", "linear"])
+    def test_matches_unfused_chain(self, activation, stride, upsample, batched, trainable):
+        local = np.random.default_rng([stride, upsample, batched, trainable, len(activation)])
+        xs = local.normal(size=(2, 3, 5, 6) if batched else (3, 5, 6)).astype(np.float32)
+        ks = local.normal(size=(4, 3, 3, 3)).astype(np.float32)
+        bs = local.normal(size=4).astype(np.float32)
+        results = []
+        for fused in (False, True):
+            x, k, b = Tensor(xs, True), Tensor(ks, trainable), Tensor(bs, True)
+            if fused:
+                out = T.conv_layer(x, k, b, stride=stride, padding=1,
+                                   activation=activation, upsample=upsample)
+            else:
+                out = _unfused_layer(x, k, b, stride, activation, upsample)
+                g = local.normal(size=out.shape).astype(np.float32)
+            backward(T.tensor_sum(T.mul(out, Tensor(g))))
+            results.append((out.data, x.grad, k.grad, b.grad))
+        (out_ref, dx_ref, dk_ref, db_ref), (out, dx, dk, db) = results
+        assert np.array_equal(out, out_ref)
+        assert _rel_err(dx, dx_ref) <= 1e-5
+        assert _rel_err(db, db_ref) <= 1e-5
+        if trainable:
+            assert _rel_err(dk, dk_ref) <= 1e-5
+        else:
+            assert dk is None and dk_ref is None
+
+    def test_layer_is_one_tape_node(self):
+        from ttalab.layers import ConvLayer, LayerSpec
+        layer = ConvLayer(LayerSpec(in_ch=2, out_ch=3, upsample=True), np.random.default_rng(0))
+        x = Tensor(rng.normal(size=(2, 4, 4)).astype(np.float32), requires_grad=True)
+        out = layer.forward(x)
+        assert out._parents == (x, layer.weight, layer.bias)
+
+    @pytest.mark.parametrize("factor", [2, 3])
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_upsample_grad_matches_loop_oracle(self, factor, batched):
+        shape = (2, 3, 4, 5) if batched else (3, 4, 5)
+        x = Tensor(rng.normal(size=shape).astype(np.float32), requires_grad=True)
+        g = rng.normal(size=shape[:-2] + (4 * factor, 5 * factor)).astype(np.float32)
+        backward(T.tensor_sum(T.mul(T.upsample_nearest(x, factor), Tensor(g))))
+        ref = np.zeros(shape, dtype=np.float64)
+        for idx in np.ndindex(g.shape):
+            ref[idx[:-2] + (idx[-2] // factor, idx[-1] // factor)] += g[idx]
+        assert np.abs(x.grad - ref).max() < 1e-5
+
+    def test_overflow_under_tanh_raises(self):
+        # tanh(+inf) is 1: the conv's own finite check has to catch the overflow
+        x = Tensor(np.full((1, 4, 4), 3e38, np.float32))
+        k = Tensor(np.ones((1, 1, 3, 3), np.float32))
+        b = Tensor(np.zeros(1, np.float32))
+        with np.errstate(over="ignore"), pytest.raises(NumericError):
+            T.conv_layer(x, k, b, padding=1, activation="tanh")
+
+    def test_unknown_activation_rejected(self):
+        with pytest.raises(ValueError, match="activation"):
+            T.conv_layer(Tensor(np.zeros((1, 4, 4))), Tensor(np.zeros((1, 1, 3, 3))),
+                         Tensor(np.zeros(1)), padding=1, activation="relu")
+
+
 class TestConv1x1:
     def test_identity_kernel_bitwise(self):
         x = rng.normal(size=(4, 5, 5)).astype(np.float32)

@@ -116,7 +116,10 @@ def ensure_dataset(cfg: RunConfig) -> Dataset:
     if (ddir / "index.json").exists():
         index = json.loads((ddir / "index.json").read_text())
         if index.get("spec") == cfg.data.to_dict():
-            return load_dataset(ddir, verify=False)
+            try:
+                return load_dataset(ddir, verify=True)
+            except (ValueError, FileNotFoundError) as err:
+                log.warning("dataset under %s does not load (%s); regenerating", ddir, err)
     return gen_dataset(cfg.data, ddir)
 
 
@@ -148,10 +151,13 @@ def ensure_task(cfg: RunConfig, dataset: Dataset) -> TaskModel:
     provenance = {"dataset_sha256": _dataset_sha(cfg),
                   "schedule": asdict(cfg.task_schedule()), "batch_size": cfg.batch_size}
     if _reusable(tdir, provenance):
-        model = load_task(tdir)
-        if _task_matches(model, cfg):
-            return model
-        log.info("task model under %s has another architecture or seed; retraining", tdir)
+        try:
+            model = load_task(tdir)
+            if _task_matches(model, cfg):
+                return model
+            log.info("task model under %s has another architecture or seed; retraining", tdir)
+        except ValueError as err:
+            log.warning("task model under %s does not load (%s); retraining", tdir, err)
     model = TaskModel(n_layers=cfg.n_layers, io_channels=1, image_size=cfg.data.image_size,
                       base_channels=cfg.base_channels, max_channels=cfg.max_channels,
                       seed=cfg.seed)

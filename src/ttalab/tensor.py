@@ -274,13 +274,15 @@ def _as_batched(x: np.ndarray) -> tuple[np.ndarray, bool]:
 
 
 def _im2col(x4: np.ndarray, kh: int, kw: int, stride: int) -> tuple[np.ndarray, int, int]:
+    """[C*kh*kw, B*Ho*Wo] patch matrix of [B,C,H,W], copied once from one strided view."""
+    x4 = np.ascontiguousarray(x4)
     b, c, hp, wp = x4.shape
     ho = (hp - kh) // stride + 1
     wo = (wp - kw) // stride + 1
-    win = np.lib.stride_tricks.sliding_window_view(x4, (kh, kw), axis=(2, 3))
-    win = win[:, :, ::stride, ::stride, :, :]
-    cols = win.transpose(1, 4, 5, 0, 2, 3).reshape(c * kh * kw, b * ho * wo)
-    return np.ascontiguousarray(cols), ho, wo
+    sb, sc, sh, sw = x4.strides
+    win = np.ndarray((c, kh, kw, b, ho, wo), dtype=x4.dtype, buffer=x4,
+                     strides=(sc, sh, sw, sb, stride * sh, stride * sw))
+    return win.reshape(c * kh * kw, b * ho * wo), ho, wo
 
 
 def _correlate(xp: np.ndarray, kmat: np.ndarray, kh: int, kw: int,
@@ -292,6 +294,43 @@ def _correlate(xp: np.ndarray, kmat: np.ndarray, kh: int, kw: int,
     cols, ho, wo = _im2col(xp, kh, kw, stride)
     out = (kmat @ cols).reshape(kmat.shape[0], xp.shape[0], ho, wo).transpose(1, 0, 2, 3)
     return np.ascontiguousarray(out), cols
+
+
+def _flipped_kmat(kernel: np.ndarray) -> np.ndarray:
+    """[C_in, C_out*kh*kw] matrix of the spatially flipped, channel-transposed kernel."""
+    cout, cin, kh, kw = kernel.shape
+    return kernel[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(cin, cout * kh * kw)
+
+
+def _dilated_grad(g4: np.ndarray, kh: int, kw: int, stride: int, padding: int,
+                  h: int, w: int) -> np.ndarray:
+    """Output gradient [B,C_out,Ho,Wo] dilated by the stride and zero-padded by
+    k-1-padding: [B,C_out,h+kh-1,w+kw-1], whose valid correlation with the
+    flipped kernel is the gradient of the h x w conv input."""
+    b, cout, ho, wo = g4.shape
+    # padding < kernel size keeps every output position inside the buffer
+    top, left = kh - 1 - padding, kw - 1 - padding
+    gz = np.zeros((b, cout, h + kh - 1, w + kw - 1), dtype=np.float32)
+    gz[:, :, top:top + stride * (ho - 1) + 1:stride,
+       left:left + stride * (wo - 1) + 1:stride] = g4
+    return gz
+
+
+def _upsampled_conv_input_grad(g4: np.ndarray, kernel: np.ndarray, stride: int,
+                               padding: int, h: int, w: int) -> np.ndarray:
+    """Gradient of conv2d(upsample_x2(x)) with respect to the [B,C,h,w] input x.
+
+    dx[i] = dup[2i] + dup[2i+1] = sum_e kflip[e] * (gz[2i+e] + gz[2i+1+e]) per
+    axis, so the 2x2 box sums of the dilated gradient, correlated with the
+    flipped kernel at stride 2, give dx on the coarse grid directly: a quarter
+    of the work of the full-resolution gradient followed by its 2x2 sum.
+    """
+    kh, kw = kernel.shape[2:]
+    gz = _dilated_grad(g4, kh, kw, stride, padding, 2 * h, 2 * w)
+    rows = gz[:, :, :-1] + gz[:, :, 1:]
+    box = rows[..., :-1] + rows[..., 1:]
+    dx, _ = _correlate(box, _flipped_kmat(kernel), kh, kw, 2)
+    return dx
 
 
 def conv2d(input: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
@@ -336,13 +375,8 @@ def conv2d(input: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> 
             gmat = g4.transpose(1, 0, 2, 3).reshape(cout, b * ho * wo)
             kernel._accumulate((gmat @ cols.T).reshape(cout, cin, kh, kw))
         if input.requires_grad:
-            # padding < kernel size keeps every output position inside the buffer
-            top, left = kh - 1 - padding, kw - 1 - padding
-            gz = np.zeros((b, cout, h + kh - 1, w + kw - 1), dtype=np.float32)
-            gz[:, :, top:top + stride * (ho - 1) + 1:stride,
-               left:left + stride * (wo - 1) + 1:stride] = g4
-            kflip = kernel.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-            dx, _ = _correlate(gz, kflip.reshape(cin, cout * kh * kw), kh, kw, 1)
+            gz = _dilated_grad(g4, kh, kw, stride, padding, h, w)
+            dx, _ = _correlate(gz, _flipped_kmat(kernel.data), kh, kw, 1)
             input._accumulate(dx[0] if squeeze else dx)
 
     return _from_op(out, (input, kernel), bwd, "conv2d")
@@ -362,14 +396,16 @@ def conv_layer(input: Tensor, weight: Tensor, bias: Tensor, stride: int = 1,
     runs before the activation (tanh would turn an overflowed +inf into 1)
     and anything that replaces conv2d sees every layer's convolution. The
     bias and activation are applied in place on the conv output. The
-    backward applies the activation mask, sums the bias gradient, runs the
-    conv node's own backward and sums the upsample's strided slices.
+    backward applies the activation mask, sums the bias gradient and runs the
+    conv node's own backward. With upsample, the conv sees the upsampled
+    array as a constant, so its node yields at most the kernel gradient, and
+    the input gradient is computed on the coarse grid of the input.
     """
     if activation not in _ACTIVATIONS:
         raise ValueError(f"unknown activation {activation!r}")
     if bias.data.shape != (weight.data.shape[0],):
         raise ValueError(f"bias must be [{weight.data.shape[0]}], got {bias.data.shape}")
-    x = Tensor(_upsample(input.data, 2), input.requires_grad) if upsample else input
+    x = Tensor(_upsample(input.data, 2)) if upsample else input
     conv = conv2d(x, weight, stride=stride, padding=padding)
     z = conv.data
     z += bias.data[:, None, None]
@@ -391,9 +427,11 @@ def conv_layer(input: Tensor, weight: Tensor, bias: Tensor, stride: int = 1,
             conv.grad = g
             conv._backward(conv)
             conv.grad = None
-        if upsample and x.grad is not None:
-            input._accumulate(_upsample_grad(x.grad, 2))
-            x.grad = None
+        if upsample and input.requires_grad:
+            g4, squeeze = _as_batched(g)
+            h, w = input.data.shape[-2:]
+            dx = _upsampled_conv_input_grad(g4, weight.data, stride, padding, h, w)
+            input._accumulate(dx[0] if squeeze else dx)
 
     return _from_op(z, (input, weight, bias), bwd, "conv_layer")
 

@@ -296,3 +296,38 @@ class TestArtifactReuse:
             self.build(cfg)
         assert counted == {"task": 1, "suite": 2}
         assert "retraining" in caplog.text
+
+    def test_corrupt_task_blob_logged_and_retrained(self, tmp_path, counted, caplog):
+        cfg = self.config(tmp_path)
+        first = self.build(cfg)
+        blob = tmp_path / "task" / "layer0.weight.tnsr"
+        data = bytearray(blob.read_bytes())
+        data[-1] ^= 0xFF  # the manifest's sha256 no longer matches
+        blob.write_bytes(bytes(data))
+        with caplog.at_level(logging.WARNING, logger=P.__name__):
+            second = self.build(cfg)
+        assert "retraining" in caplog.text
+        # the retrained task has the fresh build's checksum, which the suite's
+        # provenance names, so the suite is reused
+        assert second == first
+        assert counted == {"task": 2, "suite": 1}
+
+    @pytest.mark.parametrize("damage", ["flipped", "missing"])
+    def test_damaged_sample_logged_and_regenerated(self, tmp_path, caplog, damage):
+        cfg = self.config(tmp_path)
+        first = P.ensure_dataset(cfg)
+        sha = P._dataset_sha(cfg)
+        sample = tmp_path / "data" / "train" / "0000.x.tnsr"
+        clean = sample.read_bytes()
+        if damage == "missing":
+            sample.unlink()
+        else:
+            data = bytearray(clean)
+            data[-1] ^= 0xFF  # still a valid TNSR file, but not the indexed content
+            sample.write_bytes(bytes(data))
+        with caplog.at_level(logging.WARNING, logger=P.__name__):
+            second = P.ensure_dataset(cfg)
+        assert "regenerating" in caplog.text
+        assert P._dataset_sha(cfg) == sha and sample.read_bytes() == clean
+        for (x0, y0), (x1, y1) in zip(first.pairs("train"), second.pairs("train")):
+            assert np.array_equal(x0, x1) and np.array_equal(y0, y1)

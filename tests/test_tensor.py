@@ -111,6 +111,23 @@ class TestConv2d:
             dk_ref += dk_b
         assert np.abs(k_t.grad - dk_ref).max() < 1e-4
 
+    @pytest.mark.parametrize("transposed", [False, True])
+    @pytest.mark.parametrize("kernel", [(3, 3), (5, 3)])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_im2col_matches_sliding_window(self, stride, kernel, transposed):
+        x4 = rng.normal(size=(2, 3, 8, 9)).astype(np.float32)
+        if transposed:
+            x4 = x4.transpose(0, 1, 3, 2)  # not C-contiguous
+        kh, kw = kernel
+        b, c = x4.shape[:2]
+        win = np.lib.stride_tricks.sliding_window_view(x4, kernel, axis=(2, 3))
+        win = win[:, :, ::stride, ::stride]
+        ho, wo = win.shape[2:4]
+        ref = win.transpose(1, 4, 5, 0, 2, 3).reshape(c * kh * kw, b * ho * wo)
+        cols, got_ho, got_wo = T._im2col(x4, kh, kw, stride)
+        assert (got_ho, got_wo) == (ho, wo)
+        assert cols.dtype == ref.dtype and np.array_equal(cols, ref)
+
     def test_padding_not_below_kernel_rejected(self):
         with pytest.raises(ValueError, match="padding"):
             conv2d(Tensor(np.zeros((1, 4, 4))), Tensor(np.zeros((1, 1, 3, 3))), padding=3)
@@ -193,6 +210,49 @@ class TestConvLayer:
         for idx in np.ndindex(g.shape):
             ref[idx[:-2] + (idx[-2] // factor, idx[-1] // factor)] += g[idx]
         assert np.abs(x.grad - ref).max() < 1e-5
+
+    @pytest.mark.parametrize("batched", [False, True])
+    @pytest.mark.parametrize("ksize", [3, 5])
+    @pytest.mark.parametrize("size", [(7, 7), (6, 8)])
+    @pytest.mark.parametrize("padding", [0, 1, 2])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_upsample_input_grad_matches_loop_adjoint(self, stride, padding, size, ksize,
+                                                      batched):
+        local = np.random.default_rng([stride, padding, size[1], ksize, batched])
+        xs = local.normal(size=(2, 3) + size).astype(np.float32)
+        k = local.normal(size=(2, 3, ksize, ksize)).astype(np.float32)
+        ups = xs.repeat(2, axis=-2).repeat(2, axis=-1)
+        gs = local.normal(size=(2,) + conv2d_reference(ups[0], k, stride, padding).shape)
+        gs = gs.astype(np.float32)
+        x_t = Tensor(xs if batched else xs[0], requires_grad=True)
+        k_t = Tensor(k)
+        b_t = Tensor(np.zeros(2, np.float32))
+        out = T.conv_layer(x_t, k_t, b_t, stride=stride, padding=padding, upsample=True)
+        backward(T.tensor_sum(T.mul(out, Tensor(gs if batched else gs[0]))))
+        for b in range(2 if batched else 1):
+            dup, _ = conv2d_reference_grads(ups[b], k, gs[b], stride, padding)
+            dx_ref = np.zeros(xs[b].shape)
+            for c, i, j in np.ndindex(dup.shape):  # adjoint of the nearest x2 upsample
+                dx_ref[c, i // 2, j // 2] += dup[c, i, j]
+            dx = x_t.grad[b] if batched else x_t.grad
+            assert np.abs(dx - dx_ref).max() < 1e-4
+
+    def test_upsample_backward_correlates_on_coarse_grid(self, monkeypatch):
+        x = Tensor(rng.normal(size=(2, 3, 5, 6)).astype(np.float32), requires_grad=True)
+        k = Tensor(rng.normal(size=(4, 3, 3, 3)).astype(np.float32), requires_grad=True)
+        out = T.conv_layer(x, k, Tensor(np.zeros(4, np.float32)), padding=1, upsample=True)
+        calls = []
+        correlate = T._correlate
+
+        def recording(xp, kmat, kh, kw, stride):
+            res, cols = correlate(xp, kmat, kh, kw, stride)
+            calls.append((stride, res.shape))
+            return res, cols
+
+        monkeypatch.setattr(T, "_correlate", recording)
+        backward(T.tensor_sum(out))
+        # one stride-2 correlation yields the input gradient at the input's resolution
+        assert calls == [(2, x.shape)]
 
     def test_overflow_under_tanh_raises(self):
         # tanh(+inf) is 1: the conv's own finite check has to catch the overflow

@@ -9,7 +9,7 @@ reconstruction suite stay frozen.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -151,7 +151,8 @@ class AdaptedPass:
 
 
 def _adapted_pass(task: TaskModel, suite: ReconSuite, adaptors: AdaptorSet,
-                  omega: Configuration, x: Tensor) -> AdaptedPass:
+                  omega: Configuration, x_a: Tensor) -> AdaptedPass:
+    """Forward from the adapted input x_a with omega's level adaptors active."""
     adaptors.set_selector(omega)
     active = adaptors.selector
     mirrors = {task.n_layers - i: i for i in active}
@@ -163,7 +164,6 @@ def _adapted_pass(task: TaskModel, suite: ReconSuite, adaptors: AdaptorSet,
             return adaptors.level_adaptors[mirrors[depth]].forward(h, placement=1)
         return h
 
-    x_a = adaptors.input_adaptor.forward(x)
     trace = task.forward_trace(x_a, feature_hook=hook)
     eps_x = suite.member_error("x", x_a)
     eps_y = suite.member_error("y", trace.output)
@@ -179,7 +179,7 @@ def adapted_forward(task: TaskModel, suite: ReconSuite, adaptors: AdaptorSet,
     """Forward pass with the selector honoring omega; errors for active levels only."""
     xt = x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float32))
     with T.no_grad():
-        ap = _adapted_pass(task, suite, adaptors, omega, xt)
+        ap = _adapted_pass(task, suite, adaptors, omega, adaptors.input_adaptor.forward(xt))
     return ap.trace, ap.errors()
 
 
@@ -215,9 +215,109 @@ class StepTrace:
                 "steps": [s.to_dict() for s in self.steps]}
 
 
+@dataclass
+class _TermGrads:
+    """Gradients of one loss term at the identity: w.r.t. x_a and, per level,
+    w.r.t. that level adaptor's params."""
+
+    x_a: np.ndarray
+    levels: dict[int, list[np.ndarray]]
+
+
+def _summed(arrays: list[np.ndarray]) -> np.ndarray:
+    out = arrays[0].copy()
+    for a in arrays[1:]:
+        out += a
+    return out
+
+
+@dataclass
+class IdentityStep:
+    """Step 1 of every configuration of one sample, computed once.
+
+    Fresh adaptors are an exact identity (x_a is x, every 1x1 map is I), so
+    step 1 of every configuration is the same forward, with the unadapted
+    errors. The adaptation loss is a sum of terms, w_y*eps_y + w_x*eps_x and
+    one w_mid*eps_i per active level, so omega's step-1 gradient is the sum
+    of the gradients of its terms. Those come from one taped forward with
+    every level active at identity from a leaf x_a = x, and one backward per
+    term; only the scalars, the output and the gradients are kept.
+
+    passed: the forward's scalars and output, off the tape; None if it raised,
+    and then every configuration fails before its first record.
+    grads: per term, [y+x, level 1..k]; None if a backward raised, and then
+    every configuration fails after its step-1 record, as a taped step whose
+    backward raised.
+    """
+
+    x: np.ndarray
+    loss_weights: tuple[float, float, float]
+    passed: AdaptedPass | None = None
+    grads: list[_TermGrads] | None = None
+
+    def adapted_pass(self, omega: Configuration) -> AdaptedPass:
+        """omega's step-1 pass: the kept scalars of its active levels."""
+        if self.passed is None:
+            raise NumericError("non-finite values in the shared identity forward")
+        return replace(self.passed, eps_i={i: self.passed.eps_i[i] for i in omega.active})
+
+    def backward(self, adaptors: AdaptorSet, omega: Configuration, x: Tensor) -> None:
+        """Accumulate omega's step-1 gradient into fresh adaptors' trainable params.
+
+        The summed d(loss)/d(x_a) goes back through this configuration's own
+        input adaptor as the backward of sum(x_a * grad); its conv2 is zero,
+        so conv1 gets an exact zero gradient, as in a taped step.
+        """
+        if self.grads is None:
+            raise NumericError("non-finite values in the shared identity backward")
+        terms = [self.grads[0]] + [self.grads[i] for i in omega.active]
+        x_a = adaptors.input_adaptor.forward(x)
+        backward(T.tensor_sum(T.mul(x_a, Tensor(_summed([t.x_a for t in terms])))))
+        for i in omega.active:
+            for n, p in enumerate(adaptors.level_adaptors[i].params()):
+                p.grad += _summed([t.levels[i][n] for t in terms])
+
+
+def identity_step(task: TaskModel, suite: ReconSuite, x,
+                  loss_weights: tuple[float, float, float] = (1.0, 1.0, 1.0)) -> IdentityStep:
+    """One sample's shared step 1 (see IdentityStep); a numeric failure is kept, not raised."""
+    xd = np.asarray(x, dtype=np.float32)
+    w_x, w_mid, w_y = loss_weights
+    step = IdentityStep(x=xd, loss_weights=tuple(loss_weights))
+    levels = init_adaptors(task)
+    full = Configuration.of(range(1, task.num_levels + 1))
+    x_a = Tensor(xd, requires_grad=True)
+    params = {i: levels.level_adaptors[i].params() for i in full.active}
+    leaves = [x_a] + [p for ps in params.values() for p in ps]
+    for p in leaves:
+        p.requires_grad = True
+    try:
+        ap = _adapted_pass(task, suite, levels, full, x_a)
+    except NumericError:
+        return step
+    step.passed = AdaptedPass(
+        x_a=Tensor(xd), trace=FeatureTrace(features={}, output=ap.trace.output.detach()),
+        eps_x=ap.eps_x.detach(), eps_i={i: t.detach() for i, t in ap.eps_i.items()},
+        eps_y=ap.eps_y.detach())
+    grads = []
+    try:
+        terms = [T.add(T.scale(ap.eps_y, w_y), T.scale(ap.eps_x, w_x))]
+        terms += [T.scale(ap.eps_i[i], w_mid) for i in full.active]
+        for term in terms:
+            zero_grads(leaves)
+            backward(term)
+            grads.append(_TermGrads(x_a=x_a.grad, levels={i: [p.grad for p in ps]
+                                                          for i, ps in params.items()}))
+    except NumericError:
+        return step
+    step.grads = grads
+    return step
+
+
 def adapt_steps(task: TaskModel, suite: ReconSuite, adaptors: AdaptorSet,
                 omega: Configuration, x, m_steps: int, lr: float = 3e-4,
-                loss_weights: tuple[float, float, float] = (1.0, 1.0, 1.0)) -> StepTrace:
+                loss_weights: tuple[float, float, float] = (1.0, 1.0, 1.0),
+                identity: IdentityStep | None = None) -> StepTrace:
     """Run M adaptation steps (M forwards, M-1 updates) and snapshot the lowest-eps_y output.
 
     Each step: adapted forward, record eps_y and the adaptation loss
@@ -230,10 +330,17 @@ def adapt_steps(task: TaskModel, suite: ReconSuite, adaptors: AdaptorSet,
     left untouched. A numeric failure mid-run is recorded and the best
     snapshot so far (or the unadapted output) stands; a failure only the
     skipped M-th update would have hit is not recorded.
+
+    identity: the sample's shared step 1 from identity_step, for fresh
+    adaptors. Step 1 then takes its record and gradient from it instead of a
+    taped forward and backward; only its Adam update runs here.
     """
     if m_steps < 1:
         raise ValueError("m_steps must be >= 1")
     xt = x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float32))
+    if identity is not None and (identity.loss_weights != tuple(loss_weights)
+                                 or not np.array_equal(identity.x, xt.data)):
+        raise ValueError("identity step was built for another sample or other loss weights")
     w_x, w_mid, w_y = loss_weights
     params = adaptors.trainable_params(omega)
     for p in params:
@@ -242,11 +349,16 @@ def adapt_steps(task: TaskModel, suite: ReconSuite, adaptors: AdaptorSet,
     trace = StepTrace(omega=omega.active)
     try:
         for step in range(1, m_steps + 1):
-            if step < m_steps:
-                ap = _adapted_pass(task, suite, adaptors, omega, xt)
+            shared = step == 1 and identity is not None
+            if shared:
+                ap = identity.adapted_pass(omega)
+            elif step < m_steps:
+                ap = _adapted_pass(task, suite, adaptors, omega,
+                                   adaptors.input_adaptor.forward(xt))
             else:
                 with T.no_grad():  # no backward follows the last pass
-                    ap = _adapted_pass(task, suite, adaptors, omega, xt)
+                    ap = _adapted_pass(task, suite, adaptors, omega,
+                                       adaptors.input_adaptor.forward(xt))
             eps_y_val = ap.eps_y.item()
             loss = T.scale(ap.eps_y, w_y)
             loss = T.add(loss, T.scale(ap.eps_x, w_x))
@@ -262,7 +374,10 @@ def adapt_steps(task: TaskModel, suite: ReconSuite, adaptors: AdaptorSet,
                 trace.best_output = ap.trace.output.data.copy()
             if step < m_steps:
                 zero_grads(params)
-                backward(loss)
+                if shared:
+                    identity.backward(adaptors, omega, xt)
+                else:
+                    backward(loss)
                 adam_step(params, adam)
     except NumericError:
         trace.failed = True

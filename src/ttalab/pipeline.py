@@ -156,7 +156,7 @@ def ensure_task(cfg: RunConfig, dataset: Dataset) -> TaskModel:
             if _task_matches(model, cfg):
                 return model
             log.info("task model under %s has another architecture or seed; retraining", tdir)
-        except ValueError as err:
+        except (ValueError, FileNotFoundError) as err:
             log.warning("task model under %s does not load (%s); retraining", tdir, err)
     model = TaskModel(n_layers=cfg.n_layers, io_channels=1, image_size=cfg.data.image_size,
                       base_channels=cfg.base_channels, max_channels=cfg.max_channels,
@@ -177,7 +177,7 @@ def ensure_suite(cfg: RunConfig, task: TaskModel, dataset: Dataset) -> ReconSuit
             if suite.all_trained():
                 return suite
             log.info("suite under %s is not fully trained; retraining", sdir)
-        except ValueError as err:
+        except (ValueError, FileNotFoundError) as err:
             log.warning("suite under %s does not load (%s); retraining", sdir, err)
     suite = ReconSuite(task, seed=cfg.seed)
     train_recon_suite(suite, task, dataset.pairs("train"), cfg.recon_schedule(),
@@ -221,7 +221,11 @@ def _runner(cfg: RunConfig, task: TaskModel, suite: ReconSuite) -> TtaRunner:
 
 def run_tta(cfg: RunConfig, task: TaskModel, suite: ReconSuite, dataset: Dataset,
             tau: float, trace_dir: Path | None = None) -> list[dict]:
-    """Gate and adapt every test sample; returns one report row per sample."""
+    """Gate and adapt every test sample; returns one report row per sample.
+
+    Each row carries the REPORT_COLUMNS plus failed_configs, which feeds the
+    summary and is not written to report.csv.
+    """
     runner = _runner(cfg, task, suite)
     rows = []
     sample_index = 0
@@ -240,6 +244,7 @@ def run_tta(cfg: RunConfig, task: TaskModel, suite: ReconSuite, dataset: Dataset
                 "configs_evaluated": outcome.budget.configs_evaluated,
                 "adapt_steps_total": outcome.budget.adapt_steps_total,
                 "forwards_total": outcome.budget.forwards_total,
+                "failed_configs": outcome.budget.failed_configs,
                 "mae_base": mae_b, "psnr_base": psnr_b, "ssim_base": ssim_b,
                 "mae_tta": mae_t, "psnr_tta": psnr_t, "ssim_tta": ssim_t,
             })
@@ -318,6 +323,7 @@ def build_summary(cfg: RunConfig, tau: float, rows: list[dict],
         },
         "with_tta": rep_tta.summary(),
         "no_tta": rep_base.summary(),
+        "failed_configs": sum(r["failed_configs"] for r in rows),
         "runtime_seconds": stage_seconds["tta"],
         "stage_seconds": stage_seconds,
     }

@@ -19,7 +19,8 @@ from itertools import combinations
 import numpy as np
 
 from . import tensor as T
-from .adaptors import Configuration, StepTrace, adapt_steps, init_adaptors
+from .adaptors import (Configuration, IdentityStep, StepTrace, adapt_steps, identity_step,
+                       init_adaptors)
 from .recon import ReconSuite
 from .tasknet import TaskModel, translate
 from .tensor import Tensor
@@ -61,6 +62,7 @@ class SearchBudget:
     configs_evaluated: int = 0
     adapt_steps_total: int = 0
     forwards_total: int = 0
+    failed_configs: int = 0
 
 
 @dataclass
@@ -324,7 +326,10 @@ class AdaptEvaluator:
     """Objective that evaluates a configuration with fresh adaptors + M steps.
 
     Adaptor init RNG is keyed by (seed, sample_index, omega) so results do not
-    depend on evaluation order or parallel schedule.
+    depend on evaluation order or parallel schedule. With share_identity_step
+    (and M > 1) the first evaluation builds the sample's identity step 1 once
+    and every configuration's adapt_steps takes its step 1 from it; a search
+    of one configuration gains nothing from it.
     """
 
     task: TaskModel
@@ -338,6 +343,8 @@ class AdaptEvaluator:
     loss_weights: tuple[float, float, float] = (1.0, 1.0, 1.0)
     budget: SearchBudget = field(default_factory=SearchBudget)
     trace_sink: list | None = None
+    share_identity_step: bool = True
+    _identity: IdentityStep | None = field(default=None, init=False, repr=False)
 
     @property
     def k(self) -> int:
@@ -347,13 +354,16 @@ class AdaptEvaluator:
         seed = int(np.random.SeedSequence(
             entropy=self.seed, spawn_key=(self.sample_index, omega.code())
         ).generate_state(1)[0])
+        if self.share_identity_step and self.m_steps > 1 and self._identity is None:
+            self._identity = identity_step(self.task, self.suite, self.x, self.loss_weights)
         adaptors = init_adaptors(self.task, seed=seed, input_width=self.adaptor_width)
         trace = adapt_steps(self.task, self.suite, adaptors, omega, self.x,
                             self.m_steps, lr=self.adaptor_lr,
-                            loss_weights=self.loss_weights)
+                            loss_weights=self.loss_weights, identity=self._identity)
         self.budget.configs_evaluated += 1
         self.budget.adapt_steps_total += len(trace.steps)
         self.budget.forwards_total += len(trace.steps)
+        self.budget.failed_configs += trace.failed
         if self.trace_sink is not None:
             self.trace_sink.append(trace)
         return ConfigEval(eps=trace.best_eps_y, output=trace.best_output, trace=trace)
@@ -406,7 +416,8 @@ class TtaRunner:
                              x=np.asarray(x, dtype=np.float32), m_steps=self.m_steps,
                              seed=self.seed, sample_index=sample_index,
                              adaptor_lr=self.adaptor_lr, adaptor_width=self.adaptor_width,
-                             loss_weights=self.loss_weights, trace_sink=trace_sink)
+                             loss_weights=self.loss_weights, trace_sink=trace_sink,
+                             share_identity_step=strategy != "static-all")
         if strategy == "grid":
             outcome = grid_search(ctx)
         elif strategy in ("rand10", "rand50"):

@@ -6,7 +6,7 @@ import pytest
 import ttalab.adaptors as A
 import ttalab.tensor as T
 from ttalab.adaptors import (Configuration, adapt_steps, adapted_forward,
-                             init_adaptors)
+                             identity_step, init_adaptors)
 from ttalab.recon import unadapted_output_error
 from ttalab.tasknet import translate
 from ttalab.tensor import Tensor
@@ -233,6 +233,64 @@ class TestAdaptSteps:
         assert back["omega"] == [1, 3]
         assert len(back["steps"]) == 2
         assert {"step", "loss", "eps_x", "eps_i", "eps_y", "chosen"} <= set(back["steps"][0])
+
+
+SHARED_OMEGAS = [Configuration.of([1]), Configuration.of([1, 2]), Configuration.of([1, 2, 3])]
+
+
+class TestIdentityStep:
+    """Step 1 taken from the sample's shared identity step against a taped step 1."""
+
+    @pytest.mark.parametrize("omega", SHARED_OMEGAS, ids=str)
+    def test_step_one_record_bitwise_equal(self, small_stack, omega):
+        ds, task, suite = small_stack
+        x = sample_x(ds)
+        taped = adapt_steps(task, suite, init_adaptors(task, seed=4), omega, x, m_steps=2)
+        shared = adapt_steps(task, suite, init_adaptors(task, seed=4), omega, x, m_steps=2,
+                             identity=identity_step(task, suite, x))
+        assert shared.steps[0].to_dict() == taped.steps[0].to_dict()
+        assert set(shared.steps[0].eps_i) == set(omega.active)
+
+    @pytest.mark.parametrize("omega", SHARED_OMEGAS, ids=str)
+    def test_step_one_update_matches_taped(self, small_stack, omega):
+        ds, task, suite = small_stack
+        x = sample_x(ds)
+        a, b = init_adaptors(task, seed=4), init_adaptors(task, seed=4)
+        adapt_steps(task, suite, a, omega, x, m_steps=2)
+        adapt_steps(task, suite, b, omega, x, m_steps=2, identity=identity_step(task, suite, x))
+        for pa, pb in zip(a.trainable_params(omega), b.trainable_params(omega)):
+            assert np.abs(pa.data - pb.data).max() <= 1e-6 * np.abs(pa.data).max()
+        # the zero conv2 leaves conv1 exactly where it started, as in a taped step
+        fresh = init_adaptors(task, seed=4)
+        assert np.array_equal(b.input_adaptor.conv1.weight.data,
+                              fresh.input_adaptor.conv1.weight.data)
+
+    def test_inactive_levels_untouched(self, small_stack):
+        ds, task, suite = small_stack
+        x = sample_x(ds)
+        adaptors = init_adaptors(task, seed=0)
+        adapt_steps(task, suite, adaptors, Configuration.of([2]), x, m_steps=2,
+                    identity=identity_step(task, suite, x))
+        fresh = init_adaptors(task, seed=0)
+        for i in (1, 3):
+            for p, q in zip(adaptors.level_adaptors[i].params(),
+                            fresh.level_adaptors[i].params()):
+                assert np.array_equal(p.data, q.data)
+
+    def test_keeps_no_tape(self, small_stack):
+        ds, task, suite = small_stack
+        step = identity_step(task, suite, sample_x(ds))
+        kept = [step.passed.eps_x, step.passed.eps_y, step.passed.trace.output,
+                *step.passed.eps_i.values()]
+        assert all(not t.requires_grad and t._parents == () for t in kept)
+        assert len(step.grads) == task.num_levels + 1
+
+    def test_rejects_another_sample(self, small_stack):
+        ds, task, suite = small_stack
+        (x1, _), (x2, _) = ds.pairs("ood_test")[:2]
+        with pytest.raises(ValueError, match="another sample"):
+            adapt_steps(task, suite, init_adaptors(task), Configuration.of([1]), x2,
+                        m_steps=2, identity=identity_step(task, suite, x1))
 
 
 class TestDualBlockAdaptors:

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 import ttalab.pipeline as P
+import ttalab.tensor as T
 from ttalab.data import SyntheticTaskSpec
 from ttalab.pipeline import (RunConfig, compare_strategies, metrics_report,
                              pipeline_run, read_report_csv, write_wilcoxon_csv)
+from ttalab.tensor import NumericError
 
 
 def tiny_config(workdir, **kw) -> RunConfig:
@@ -208,6 +210,22 @@ class TestSummary:
         assert all(v >= 0 for v in stages.values())
         assert s["runtime_seconds"] == stages["tta"]
 
+    def test_failed_configs_counted_outside_report_csv(self, tiny_run, monkeypatch):
+        cfg, report = tiny_run
+        assert report.summary["failed_configs"] == 0
+
+        def raising(*args, **kwargs):
+            raise NumericError("injected")
+
+        # conv2d_1x1 runs only in the level adaptors: every configuration fails
+        monkeypatch.setattr(T, "conv2d_1x1", raising)
+        failing = pipeline_run(cfg.with_overrides(strategy="be", percentile=50.0))
+        s = json.loads((failing.run_dir / "summary.json").read_text())
+        evaluated = sum(r["configs_evaluated"] for r in failing.rows)
+        assert s["failed_configs"] == evaluated > 0
+        header = (failing.run_dir / "report.csv").read_text().splitlines()[0]
+        assert header.split(",") == P.REPORT_COLUMNS
+
     def test_metrics_report_subset(self, tiny_run):
         _, report = tiny_run
         rep = metrics_report(report.rows, "tta")
@@ -311,6 +329,26 @@ class TestArtifactReuse:
         # provenance names, so the suite is reused
         assert second == first
         assert counted == {"task": 2, "suite": 1}
+
+    def test_missing_task_blob_logged_and_retrained(self, tmp_path, counted, caplog):
+        cfg = self.config(tmp_path)
+        first = self.build(cfg)
+        (tmp_path / "task" / "layer0.weight.tnsr").unlink()
+        with caplog.at_level(logging.WARNING, logger=P.__name__):
+            second = self.build(cfg)
+        assert "retraining" in caplog.text
+        assert second == first
+        assert counted == {"task": 2, "suite": 1}
+
+    def test_missing_suite_blob_logged_and_retrained(self, tmp_path, counted, caplog):
+        cfg = self.config(tmp_path)
+        first = self.build(cfg)
+        next((tmp_path / "recon").glob("member_*/layer0.weight.tnsr")).unlink()
+        with caplog.at_level(logging.WARNING, logger=P.__name__):
+            second = self.build(cfg)
+        assert "retraining" in caplog.text
+        assert second == first
+        assert counted == {"task": 1, "suite": 2}
 
     @pytest.mark.parametrize("damage", ["flipped", "missing"])
     def test_damaged_sample_logged_and_regenerated(self, tmp_path, caplog, damage):

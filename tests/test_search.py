@@ -4,10 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from ttalab.adaptors import Configuration
-from ttalab.search import (MockObjective, backward_elimination, bayesian_search,
-                           calibrate_threshold, enumerate_configurations,
+import ttalab.adaptors as A
+import ttalab.search as S
+import ttalab.tensor as T
+from ttalab.adaptors import Configuration, adapt_steps, init_adaptors
+from ttalab.search import (AdaptEvaluator, MockObjective, TtaRunner, backward_elimination,
+                           bayesian_search, calibrate_threshold, enumerate_configurations,
                            forward_selection, grid_search, random_search, trigger)
+from ttalab.tensor import NumericError
 
 
 def all_subsets(k):
@@ -383,3 +387,90 @@ class TestNineLayerIntegration:
         from ttalab.tensor import Tensor
         base = translate(task, Tensor(x))
         assert np.array_equal(trace.output.data, base.output.data)
+
+
+def _counting(monkeypatch, owner, name):
+    calls = []
+    inner = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+class TestSharedIdentityStep:
+    """AdaptEvaluator builds one identity step per sample and every
+    configuration takes its step 1 from it."""
+
+    @staticmethod
+    def evaluator(small_stack, share: bool) -> AdaptEvaluator:
+        ds, task, suite = small_stack
+        return AdaptEvaluator(task=task, suite=suite, x=ds.pairs("ood_test")[0][0], m_steps=3,
+                              seed=0, sample_index=2, trace_sink=[], share_identity_step=share)
+
+    def test_grid_matches_taped_step_one(self, small_stack, monkeypatch):
+        built = _counting(monkeypatch, S, "identity_step")
+        shared, taped = self.evaluator(small_stack, True), self.evaluator(small_stack, False)
+        a, b = grid_search(shared), grid_search(taped)
+        assert built == ["identity_step"]
+        assert a.omega_star == b.omega_star
+        assert a.eps_best == pytest.approx(b.eps_best, rel=1e-6)
+        assert a.budget == b.budget
+        assert (a.budget.configs_evaluated, a.budget.adapt_steps_total) == (7, 21)
+        for ta, tb in zip(shared.trace_sink, taped.trace_sink):
+            assert ta.steps[0].to_dict() == tb.steps[0].to_dict()
+
+    @pytest.mark.parametrize("where", ["forward", "backward"])
+    def test_numeric_error_fails_every_configuration(self, small_stack, monkeypatch, where):
+        building = []  # non-empty while the shared step is built
+        build = S.identity_step
+
+        def tracked(*args, **kwargs):
+            building.append(True)
+            try:
+                return build(*args, **kwargs)
+            finally:
+                building.pop()
+
+        # conv2d_1x1 runs only in the level adaptors, so only in adapted forwards
+        owner, name = (T, "conv2d_1x1") if where == "forward" else (A, "backward")
+        inner, everywhere = getattr(owner, name), []
+
+        def injected(*args, **kwargs):
+            if building or everywhere:
+                raise NumericError("injected")
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(S, "identity_step", tracked)
+        monkeypatch.setattr(owner, name, injected)
+        shared = self.evaluator(small_stack, True)
+        a = grid_search(shared)
+        # before sharing, the same failure hit every configuration's own step 1
+        everywhere.append(True)
+        taped = self.evaluator(small_stack, False)
+        b = grid_search(taped)
+        assert a.budget == b.budget
+        assert a.budget.failed_configs == a.budget.configs_evaluated == 7
+        assert a.budget.adapt_steps_total == (0 if where == "forward" else 7)
+        ds, task, suite = small_stack
+        unadapted = TtaRunner(task=task, suite=suite).unadapted(shared.x)[0]
+        for ta, tb in zip(shared.trace_sink, taped.trace_sink):
+            assert ta.failed and ta.to_dict() == tb.to_dict()
+            assert np.array_equal(ta.best_output, tb.best_output)
+            assert np.array_equal(ta.best_output, unadapted)
+
+    def test_static_all_and_direct_calls_never_build_it(self, small_stack, monkeypatch):
+        ds, task, suite = small_stack
+        by_search = _counting(monkeypatch, S, "identity_step")
+        by_adaptors = _counting(monkeypatch, A, "identity_step")
+        x = ds.pairs("ood_test")[0][0]
+        runner = TtaRunner(task=task, suite=suite, m_steps=3)
+        out = runner.run_sample(x, "static-all", tau=0.0)
+        assert out.budget.configs_evaluated == 1 and out.budget.adapt_steps_total == 3
+        adapt_steps(task, suite, init_adaptors(task), Configuration.of([1, 2]), x, m_steps=3)
+        assert by_search == by_adaptors == []
+        runner.run_sample(x, "fs", tau=0.0)
+        assert by_search == ["identity_step"]

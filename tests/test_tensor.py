@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -475,6 +477,15 @@ class TestNumericGuards:
         a = Tensor(np.array([3e38], np.float32))
         with np.errstate(over="ignore"), pytest.raises(NumericError):
             T.mul(a, a)
+
+    def test_large_finite_values_pass_without_warning(self):
+        # every element is finite, only their float32 sum would overflow
+        a = Tensor(np.array([1.5e38, 1.5e38], np.float32))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = T.add(a, a)
+            T._check_finite(np.array([3e38, 3e38], np.float32), "probe")
+        assert np.isfinite(out.data).all() and out.data[0] == np.float32(3e38)
 
 
 class TestDeterminism:

@@ -6,15 +6,12 @@ from .data import Dataset, ShiftParams, SyntheticTaskSpec, gen_dataset, load_dat
 from .metrics import (MetricsReport, bonferroni, mae, psnr, ssim,
                       wilcoxon_signed_rank)
 from .pipeline import RunConfig, RunReport, compare_strategies, pipeline_run
-from .recon import (Autoencoder, ReconSuite, ShiftErrors, concat_symmetric,
-                    shift_errors, train_recon_suite, unadapted_output_error)
+from .recon import Autoencoder, ReconSuite, ShiftErrors, concat_symmetric, train_recon_suite
 from .search import (AdaptEvaluator, SearchBudget, SearchOutcome, TtaRunner,
                      backward_elimination, bayesian_search, calibrate_threshold,
                      enumerate_configurations, forward_selection, grid_search,
                      random_search, trigger)
-from .tasknet import (FeatureTrace, TaskModel, TrainReport, adversarial_loss,
-                      cycle_consistency_loss, cyclegan_total_loss, identity_loss,
-                      train_task, translate)
+from .tasknet import FeatureTrace, TaskModel, TrainReport, train_task, translate
 from .tensor import (AdamState, LrSchedule, NumericError, TapeError, Tensor,
                      adam_step, backward, conv2d, conv2d_1x1, l1_distance,
                      make_adam, mse_loss, no_grad, read_tnsr, write_tnsr,

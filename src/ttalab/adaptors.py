@@ -105,10 +105,7 @@ class AdaptorSet:
                                                   task.channels_at(task.n_layers - i))
         self.selector: set[int] = set()
 
-    def set_selector(self, omega: Configuration | None) -> None:
-        if omega is None:
-            self.selector = set()
-            return
+    def set_selector(self, omega: Configuration) -> None:
         if max(omega.active) > self.num_levels:
             raise ValueError(f"configuration {omega} exceeds {self.num_levels} levels")
         self.selector = set(omega.active)

@@ -9,56 +9,35 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import sys
+from dataclasses import replace
 from pathlib import Path
 
-from .data import SyntheticTaskSpec
-from .pipeline import (RunConfig, _runner, calibration_errors, compare_strategies,
+from .data import gen_dataset
+from .pipeline import (RunConfig, arm_labels, calibrate_tau, compare_strategies,
                        ensure_dataset, ensure_suite, ensure_task, metrics_report,
-                       pipeline_run, read_report_csv, write_wilcoxon_csv)
-from .search import calibrate_threshold
+                       pipeline_run, read_report_csv, run_tta, write_wilcoxon_csv)
+from .search import STRATEGY_NAMES
+
+
+# flags named after a RunConfig field, and flags for a field of the data's shift
+_FLAG_FIELDS = ("workdir", "seed", "strategy", "percentile", "steps", "adaptor_lr",
+                "tau_transductive", "fs_faithful_pseudocode", "psnr_max", "dump_traces")
+_SHIFT_FLAGS = {"noise_mult": "noise_mult", "shift_gamma": "gamma", "shift_blur": "blur"}
 
 
 def _load_config(args) -> RunConfig:
-    if args.config:
-        cfg = RunConfig.from_dict(json.loads(Path(args.config).read_text()))
-    else:
-        cfg = RunConfig()
-    overrides = {}
-    for key in ("workdir", "seed", "strategy", "percentile", "steps", "adaptor_lr"):
-        val = getattr(args, key.replace("-", "_"), None)
-        if val is not None:
-            overrides[key] = val
-    if getattr(args, "tau_transductive", False):
-        overrides["tau_transductive"] = True
-    if getattr(args, "fs_faithful_pseudocode", False):
-        overrides["fs_faithful_pseudocode"] = True
-    if getattr(args, "psnr_max", None):
-        overrides["psnr_max"] = args.psnr_max
-    if getattr(args, "dump_traces", False):
-        overrides["dump_traces"] = True
-    data_overrides = {}
-    for key in ("noise_mult", "shift_gamma", "shift_blur"):
-        val = getattr(args, key, None)
-        if val is not None:
-            data_overrides[key] = val
-    if data_overrides:
-        shift = cfg.data.shift
-        from dataclasses import replace as _replace
-        shift = _replace(shift,
-                         noise_mult=data_overrides.get("noise_mult", shift.noise_mult),
-                         gamma=data_overrides.get("shift_gamma", shift.gamma),
-                         blur=data_overrides.get("shift_blur", shift.blur))
-        overrides["data"] = SyntheticTaskSpec.from_dict({**cfg.data.to_dict(),
-                                                         "shift": shift.__dict__})
-    return cfg.with_overrides(**overrides) if overrides else cfg
-
-
-def _percentile(text: str) -> float:
-    value = float(text)
-    if not 0.0 < value < 100.0:
-        raise argparse.ArgumentTypeError(f"{text} is not in (0, 100)")
-    return value
+    """The --config file, or the defaults, with every given flag on top."""
+    cfg = RunConfig.from_dict(json.loads(Path(args.config).read_text())) if args.config \
+        else RunConfig()
+    overrides = {key: getattr(args, key) for key in _FLAG_FIELDS
+                 if getattr(args, key, None) is not None}
+    shift = {field: getattr(args, flag) for flag, field in _SHIFT_FLAGS.items()
+             if getattr(args, flag, None) is not None}
+    if shift:
+        overrides["data"] = replace(cfg.data, shift=replace(cfg.data.shift, **shift))
+    return cfg.with_overrides(**overrides)
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -68,17 +47,17 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def _add_tta_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--strategy", choices=["grid", "rand10", "rand50", "fs", "be",
-                                          "tpe", "static-all"])
-    p.add_argument("--percentile", type=_percentile, help="threshold percentile in (0, 100)")
+    p.add_argument("--strategy", choices=STRATEGY_NAMES)
+    p.add_argument("--percentile", type=float, help="threshold percentile in (0, 100)")
     p.add_argument("--steps", type=int, help="adaptation steps M per configuration")
     p.add_argument("--adaptor-lr", dest="adaptor_lr", type=float)
+    # store_true flags default to None, so an unset flag leaves the config alone
     p.add_argument("--tau-transductive", dest="tau_transductive", action="store_true",
-                   help="calibrate tau on the test set instead of the held-out split")
+                   default=None, help="calibrate tau on the test set instead of the held-out split")
     p.add_argument("--fs-faithful-pseudocode", dest="fs_faithful_pseudocode",
-                   action="store_true", help="literal forward-selection variant")
+                   action="store_true", default=None, help="literal forward-selection variant")
     p.add_argument("--psnr-max", dest="psnr_max", choices=["generated", "range"])
-    p.add_argument("--dump-traces", dest="dump_traces", action="store_true")
+    p.add_argument("--dump-traces", dest="dump_traces", action="store_true", default=None)
     p.add_argument("--noise-mult", dest="noise_mult", type=float,
                    help="OOD noise sigma multiplier")
     p.add_argument("--shift-gamma", dest="shift_gamma", type=float)
@@ -118,35 +97,55 @@ def main(argv=None) -> int:
                            help="sample id to trace (repeatable)")
 
     args = parser.parse_args(argv)
-    cfg = _load_config(args) if args.command != "evaluate" else None
+    try:
+        cfg = _load_config(args) if args.command != "evaluate" else None
+    except ValueError as err:
+        parser.error(f"invalid config: {err}")
+    # progress and retrain reasons from the pipeline go to stderr
+    log = logging.getLogger("ttalab")
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    level = log.level
+    log.addHandler(handler)
+    log.setLevel(logging.INFO)
+    try:
+        return _run(args, cfg)
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(level)
 
+
+def _run(args, cfg: RunConfig | None) -> int:
     if args.command == "gen-data":
-        from .data import gen_dataset
         ds = gen_dataset(cfg.data, Path(cfg.workdir) / "data", dump_pgm=args.dump_pgm)
         total = sum(len(v) for v in ds.samples.values())
         print(f"wrote {total} sample pairs under {cfg.workdir}/data")
         return 0
 
-    if args.command == "train-task":
-        dataset = ensure_dataset(cfg)
-        ensure_task(cfg, dataset)
-        print(f"task model ready under {cfg.workdir}/task")
-        return 0
-
-    if args.command == "train-recon":
+    if args.command in ("train-task", "train-recon", "calibrate", "dump-traces"):
         dataset = ensure_dataset(cfg)
         task = ensure_task(cfg, dataset)
-        ensure_suite(cfg, task, dataset)
-        print(f"reconstruction suite ready under {cfg.workdir}/recon")
-        return 0
-
-    if args.command == "calibrate":
-        dataset = ensure_dataset(cfg)
-        task = ensure_task(cfg, dataset)
+        if args.command == "train-task":
+            print(f"task model ready under {cfg.workdir}/task")
+            return 0
         suite = ensure_suite(cfg, task, dataset)
-        errors = calibration_errors(task, suite, dataset, transductive=cfg.tau_transductive)
-        tau = calibrate_threshold(errors, cfg.percentile)
-        print(f"tau (p{cfg.percentile:g}, {'transductive' if cfg.tau_transductive else 'calib split'}) = {tau:.6f}")
+        if args.command == "train-recon":
+            print(f"reconstruction suite ready under {cfg.workdir}/recon")
+            return 0
+        tau = calibrate_tau(cfg, task, suite, dataset)
+        if args.command == "calibrate":
+            print(f"tau (p{cfg.percentile:g}, {'transductive' if cfg.tau_transductive else 'calib split'}) = {tau:.6f}")
+            return 0
+        out_dir = Path(cfg.workdir) / "traces"
+        wanted = set(args.sample_ids)
+        rows = run_tta(cfg, task, suite, dataset, tau, trace_dir=out_dir, sample_ids=wanted)
+        quiet = [r["sample_id"] for r in rows if not r["triggered"]]
+        if quiet:
+            print(f"not triggered, so not traced: {quiet}", file=sys.stderr)
+        missing = wanted - {r["sample_id"] for r in rows}
+        if missing:
+            print(f"warning: sample ids not found: {sorted(missing)}", file=sys.stderr)
+        print(f"wrote {len(rows) - len(quiet)} trace files under {out_dir}")
         return 0
 
     if args.command in ("run-tta", "pipeline"):
@@ -176,48 +175,17 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "compare":
-        named = []
-        for d in args.run_dirs:
-            run_dir = Path(d)
-            manifest = json.loads((run_dir / "manifest.json").read_text())
-            named.append((manifest["config"]["strategy"],
-                          read_report_csv(run_dir / "report.csv")))
-        comparison = compare_strategies(named)
+        run_dirs = [Path(d) for d in args.run_dirs]
+        configs = [json.loads((d / "manifest.json").read_text())["config"] for d in run_dirs]
+        labels = arm_labels(configs, [d.name for d in run_dirs])
+        comparison = compare_strategies([(label, read_report_csv(d / "report.csv"))
+                                         for label, d in zip(labels, run_dirs)])
         out = Path(args.out)
         out.parent.mkdir(parents=True, exist_ok=True)
         write_wilcoxon_csv(comparison, out.with_suffix(".csv"))
         out.with_suffix(".json").write_text(json.dumps(comparison, indent=2))
         print(f"alpha_corr = {comparison['alpha_corr']:.6g} over m = {comparison['m']} pairs")
         print(f"wrote {out.with_suffix('.csv')} and {out.with_suffix('.json')}")
-        return 0
-
-    if args.command == "dump-traces":
-        dataset = ensure_dataset(cfg)
-        task = ensure_task(cfg, dataset)
-        suite = ensure_suite(cfg, task, dataset)
-        errors = calibration_errors(task, suite, dataset, transductive=cfg.tau_transductive)
-        tau = calibrate_threshold(errors, cfg.percentile)
-        wanted = set(args.sample_ids)
-        out_dir = Path(cfg.workdir) / "traces"
-        index = 0
-        found = set()
-        runner = _runner(cfg, task, suite)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for split in ("id_test", "ood_test"):
-            for sid, x, _ in dataset.samples[split]:
-                if sid in wanted:
-                    sink = []
-                    runner.run_sample(x, cfg.strategy, tau, sample_index=index,
-                                      trace_sink=sink)
-                    payload = {"sample_id": sid,
-                               "traces": [t.to_dict() for t in sink]}
-                    (out_dir / f"{sid}.json").write_text(json.dumps(payload, indent=2))
-                    found.add(sid)
-                index += 1
-        missing = wanted - found
-        if missing:
-            print(f"warning: sample ids not found: {sorted(missing)}", file=sys.stderr)
-        print(f"wrote {len(found)} trace files under {out_dir}")
         return 0
 
     raise AssertionError(f"unhandled command {args.command}")

@@ -134,9 +134,6 @@ class Dataset:
     def pairs(self, split: str) -> list[tuple[np.ndarray, np.ndarray]]:
         return [(x, y) for _, x, y in self.samples[split]]
 
-    def ids(self, split: str) -> list[str]:
-        return [sid for sid, _, _ in self.samples[split]]
-
 
 def synthesize(spec: SyntheticTaskSpec) -> Dataset:
     """Generate the whole dataset in memory."""

@@ -27,10 +27,6 @@ class LayerSpec:
                 "upsample": self.upsample, "activation": self.activation,
                 "kernel": self.kernel}
 
-    @staticmethod
-    def from_dict(d: dict) -> "LayerSpec":
-        return LayerSpec(**d)
-
 
 class ConvLayer:
     """Parameters for one LayerSpec: weight [out,in,k,k] and bias [out]."""

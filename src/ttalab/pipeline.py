@@ -20,7 +20,7 @@ import numpy as np
 from .checkpoint import load_suite, load_task, save_suite, save_task
 from .data import Dataset, SyntheticTaskSpec, gen_dataset, load_dataset
 from .metrics import MetricsReport, SampleMetrics, mae, psnr, ssim, wilcoxon_signed_rank
-from .recon import ReconSuite, train_recon_suite, unadapted_output_error
+from .recon import ReconSuite, train_recon_suite
 from .search import STRATEGY_NAMES, TtaRunner, calibrate_threshold
 from .tasknet import TaskModel, train_task
 from .tensor import LrSchedule
@@ -77,7 +77,23 @@ class RunConfig:
         if self.psnr_max not in ("generated", "range"):
             raise ValueError("psnr_max must be 'generated' or 'range'")
         if not 0.0 < self.percentile < 100.0:
-            raise ValueError("percentile must be in (0,100)")
+            raise ValueError(f"percentile {self.percentile} is not in (0, 100)")
+        if not 5 <= self.n_layers <= 9:
+            raise ValueError(f"n_layers must be in 5..9, got {self.n_layers}")
+        for name in ("base_channels", "max_channels", "batch_size", "steps",
+                     "adaptor_width", "tpe_start", "tpe_candidates"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.seed < 0 or self.adaptor_lr < 0:
+            raise ValueError("seed and adaptor_lr must be non-negative")
+        if len(self.loss_weights) != 3 or min(self.loss_weights) < 0:
+            raise ValueError(f"loss_weights must be three non-negative weights, "
+                             f"got {self.loss_weights}")
+        if self.tpe_start > self.tpe_trials:
+            raise ValueError("tpe_start must not exceed tpe_trials")
+        if not 0.0 < self.tpe_gamma < 1.0:
+            raise ValueError("tpe_gamma must be in (0,1)")
+        self.task_schedule(), self.recon_schedule()  # they check lr and epoch counts
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -139,23 +155,15 @@ def _reusable(root: Path, provenance: dict) -> bool:
     return True
 
 
-def _task_matches(model: TaskModel, cfg: RunConfig) -> bool:
-    c = model.config_dict()
-    return (c["n_layers"] == cfg.n_layers and c["base_channels"] == cfg.base_channels
-            and c["max_channels"] == cfg.max_channels and c["seed"] == cfg.seed
-            and c["image_size"] == cfg.data.image_size)
-
-
 def ensure_task(cfg: RunConfig, dataset: Dataset) -> TaskModel:
     tdir = Path(cfg.workdir) / "task"
     provenance = {"dataset_sha256": _dataset_sha(cfg),
-                  "schedule": asdict(cfg.task_schedule()), "batch_size": cfg.batch_size}
+                  "schedule": asdict(cfg.task_schedule()), "batch_size": cfg.batch_size,
+                  "n_layers": cfg.n_layers, "base_channels": cfg.base_channels,
+                  "max_channels": cfg.max_channels, "seed": cfg.seed}
     if _reusable(tdir, provenance):
         try:
-            model = load_task(tdir)
-            if _task_matches(model, cfg):
-                return model
-            log.info("task model under %s has another architecture or seed; retraining", tdir)
+            return load_task(tdir)
         except (ValueError, FileNotFoundError) as err:
             log.warning("task model under %s does not load (%s); retraining", tdir, err)
     model = TaskModel(n_layers=cfg.n_layers, io_channels=1, image_size=cfg.data.image_size,
@@ -188,13 +196,17 @@ def ensure_suite(cfg: RunConfig, task: TaskModel, dataset: Dataset) -> ReconSuit
 
 def calibration_errors(task: TaskModel, suite: ReconSuite, dataset: Dataset,
                        transductive: bool = False) -> list[float]:
-    """Unadapted eps_y on the calibration split (or the whole test set)."""
+    """The gate statistic, unadapted eps_y, on the calibration split (or the
+    whole test set)."""
+    gate = TtaRunner(task=task, suite=suite)
     splits = ("id_test", "ood_test") if transductive else ("calib",)
-    errors = []
-    for split in splits:
-        for x, _ in dataset.pairs(split):
-            errors.append(unadapted_output_error(suite, task, x))
-    return errors
+    return [gate.unadapted(x)[1] for split in splits for x, _ in dataset.pairs(split)]
+
+
+def calibrate_tau(cfg: RunConfig, task: TaskModel, suite: ReconSuite,
+                  dataset: Dataset) -> float:
+    errors = calibration_errors(task, suite, dataset, transductive=cfg.tau_transductive)
+    return calibrate_threshold(errors, cfg.percentile)
 
 
 def _to_unit(img: np.ndarray) -> np.ndarray:
@@ -210,49 +222,51 @@ def _image_metrics(output: np.ndarray, target: np.ndarray, psnr_max: str) -> tup
     return mae(o, t), p, ssim(o, t)
 
 
-def _runner(cfg: RunConfig, task: TaskModel, suite: ReconSuite) -> TtaRunner:
-    return TtaRunner(task=task, suite=suite, m_steps=cfg.steps,
-                     adaptor_lr=cfg.adaptor_lr, adaptor_width=cfg.adaptor_width,
-                     loss_weights=cfg.loss_weights, seed=cfg.seed,
-                     fs_faithful_pseudocode=cfg.fs_faithful_pseudocode,
-                     tpe_trials=cfg.tpe_trials, tpe_start=cfg.tpe_start,
-                     tpe_gamma=cfg.tpe_gamma, tpe_candidates=cfg.tpe_candidates)
-
-
 def run_tta(cfg: RunConfig, task: TaskModel, suite: ReconSuite, dataset: Dataset,
-            tau: float, trace_dir: Path | None = None) -> list[dict]:
+            tau: float, trace_dir: Path | None = None,
+            sample_ids: set[str] | None = None) -> list[dict]:
     """Gate and adapt every test sample; returns one report row per sample.
 
     Each row carries the REPORT_COLUMNS plus failed_configs, which feeds the
-    summary and is not written to report.csv.
+    summary and is not written to report.csv. trace_dir gets one trace JSON
+    per triggered sample. With sample_ids, only those samples run; every
+    sample keeps its index in the stream, so its adaptor seeds and trace are
+    those of a full run.
     """
-    runner = _runner(cfg, task, suite)
+    runner = TtaRunner(task=task, suite=suite, m_steps=cfg.steps,
+                       adaptor_lr=cfg.adaptor_lr, adaptor_width=cfg.adaptor_width,
+                       loss_weights=cfg.loss_weights, seed=cfg.seed,
+                       fs_faithful_pseudocode=cfg.fs_faithful_pseudocode,
+                       tpe_trials=cfg.tpe_trials, tpe_start=cfg.tpe_start,
+                       tpe_gamma=cfg.tpe_gamma, tpe_candidates=cfg.tpe_candidates)
     rows = []
-    sample_index = 0
-    for split in ("id_test", "ood_test"):
-        for sid, x, y in dataset.samples[split]:
-            sink = [] if trace_dir is not None else None
-            outcome = runner.run_sample(x, cfg.strategy, tau,
-                                        sample_index=sample_index, trace_sink=sink)
-            mae_b, psnr_b, ssim_b = _image_metrics(outcome.base_output, y, cfg.psnr_max)
-            mae_t, psnr_t, ssim_t = _image_metrics(outcome.output, y, cfg.psnr_max)
-            rows.append({
-                "sample_id": sid, "split": split,
-                "triggered": outcome.triggered,
-                "omega": str(outcome.omega_star) if outcome.omega_star else "",
-                "eps_unadapted": outcome.eps_unadapted, "eps_best": outcome.eps_best,
-                "configs_evaluated": outcome.budget.configs_evaluated,
-                "adapt_steps_total": outcome.budget.adapt_steps_total,
-                "forwards_total": outcome.budget.forwards_total,
-                "failed_configs": outcome.budget.failed_configs,
-                "mae_base": mae_b, "psnr_base": psnr_b, "ssim_base": ssim_b,
-                "mae_tta": mae_t, "psnr_tta": psnr_t, "ssim_tta": ssim_t,
-            })
-            if trace_dir is not None and sink:
-                trace_dir.mkdir(parents=True, exist_ok=True)
-                payload = {"sample_id": sid, "traces": [t.to_dict() for t in sink]}
-                (trace_dir / f"{sid}.json").write_text(json.dumps(payload, indent=2))
-            sample_index += 1
+    stream = [(split, *s) for split in ("id_test", "ood_test") for s in dataset.samples[split]]
+    for sample_index, (split, sid, x, y) in enumerate(stream):
+        if sample_ids is not None and sid not in sample_ids:
+            continue
+        sink = [] if trace_dir is not None else None
+        outcome = runner.run_sample(x, cfg.strategy, tau,
+                                    sample_index=sample_index, trace_sink=sink)
+        mae_b, psnr_b, ssim_b = _image_metrics(outcome.base_output, y, cfg.psnr_max)
+        mae_t, psnr_t, ssim_t = _image_metrics(outcome.output, y, cfg.psnr_max)
+        rows.append({
+            "sample_id": sid, "split": split,
+            "triggered": outcome.triggered,
+            "omega": str(outcome.omega_star) if outcome.omega_star else "",
+            "eps_unadapted": outcome.eps_unadapted, "eps_best": outcome.eps_best,
+            "configs_evaluated": outcome.budget.configs_evaluated,
+            "adapt_steps_total": outcome.budget.adapt_steps_total,
+            "forwards_total": outcome.budget.forwards_total,
+            "failed_configs": outcome.budget.failed_configs,
+            "mae_base": mae_b, "psnr_base": psnr_b, "ssim_base": ssim_b,
+            "mae_tta": mae_t, "psnr_tta": psnr_t, "ssim_tta": ssim_t,
+        })
+        if trace_dir is not None and sink:
+            trace_dir.mkdir(parents=True, exist_ok=True)
+            payload = {"sample_id": sid, "traces": [t.to_dict() for t in sink]}
+            (trace_dir / f"{sid}.json").write_text(json.dumps(payload, indent=2))
+        elif trace_dir is not None:  # an earlier run's trace no longer describes it
+            (trace_dir / f"{sid}.json").unlink(missing_ok=True)
     return rows
 
 
@@ -342,12 +356,7 @@ def pipeline_run(cfg: RunConfig) -> RunReport:
     dataset = stage("data", ensure_dataset, cfg)
     task = stage("task", ensure_task, cfg, dataset)
     suite = stage("suite", ensure_suite, cfg, task, dataset)
-
-    def calibrate() -> float:
-        errors = calibration_errors(task, suite, dataset, transductive=cfg.tau_transductive)
-        return calibrate_threshold(errors, cfg.percentile)
-
-    tau = stage("calibrate", calibrate)
+    tau = stage("calibrate", calibrate_tau, cfg, task, suite, dataset)
     run_dir = Path(cfg.workdir) / "runs" / cfg.run_name()
     run_dir.mkdir(parents=True, exist_ok=True)
     trace_dir = run_dir / "traces" if cfg.dump_traces else None
@@ -372,6 +381,29 @@ def pipeline_run(cfg: RunConfig) -> RunReport:
 # strategy comparison (pairwise Wilcoxon + Bonferroni)
 
 _COMPARE_METRICS = ("ssim", "mae", "psnr")
+_REPEAT_KEYS = ("seed", "workdir", "dump_traces")
+
+
+def arm_labels(configs: list[dict], run_names: list[str]) -> list[str]:
+    """The arm of each run, for compare_strategies.
+
+    Runs whose configs differ only in seed, workdir or dump_traces repeat one
+    arm. An arm is named by its strategy when no other arm has that strategy,
+    and otherwise by its runs' directory names.
+    """
+    arms: dict[str, list[int]] = {}
+    for i, c in enumerate(configs):
+        key = json.dumps({k: v for k, v in c.items() if k not in _REPEAT_KEYS}, sort_keys=True)
+        arms.setdefault(key, []).append(i)
+    strategies = [configs[idx[0]]["strategy"] for idx in arms.values()]
+    labels = [""] * len(configs)
+    for idx, strategy in zip(arms.values(), strategies):
+        unique = strategies.count(strategy) == 1
+        for i in idx:
+            labels[i] = strategy if unique else "+".join(run_names[j] for j in idx)
+    if len(set(labels)) != len(arms):
+        raise ValueError("runs with different configs share a directory name")
+    return labels
 
 
 def _averaged_by_strategy(named_rows: list[tuple[str, list[dict]]]) -> dict[str, dict[str, dict]]:
@@ -398,8 +430,8 @@ def _averaged_by_strategy(named_rows: list[tuple[str, list[dict]]]) -> dict[str,
 def compare_strategies(named_rows: list[tuple[str, list[dict]]], alpha: float = 0.05) -> dict:
     """Pairwise Wilcoxon matrix over per-sample TTA metrics, Bonferroni-corrected.
 
-    named_rows: (strategy name, report rows) per run; repeat runs of the same
-    strategy (e.g. the random searches over 3 seeds) are averaged per sample
+    named_rows: (arm label, report rows) per run; runs with the same label
+    (repeat seeds of one config, see arm_labels) are averaged per sample
     before testing. m = number of strategy pairs; alpha_corr = alpha/m is
     applied per metric family.
     """

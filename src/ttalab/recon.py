@@ -189,29 +189,3 @@ def train_recon_suite(suite: ReconSuite, task: TaskModel, dataset, schedule: LrS
         suite.trained[key] = True
     return reports
 
-
-def shift_errors(suite: ReconSuite, trace: FeatureTrace, adapted_input: Tensor,
-                 levels=None) -> ShiftErrors:
-    """Reconstruction errors for the given (possibly adapted) forward pass.
-
-    levels: iterable of intermediate levels to score (default: all).
-    """
-    if levels is None:
-        levels = range(1, suite.num_levels + 1)
-    with T.no_grad():
-        eps_x = suite.member_error("x", adapted_input).item()
-        eps_y = suite.member_error("y", trace.output).item()
-        eps_i = {}
-        for i in levels:
-            hc = concat_symmetric(trace, i, suite.n_layers)
-            eps_i[int(i)] = suite.member_error(i, hc).item()
-    return ShiftErrors(eps_x=eps_x, eps_i=eps_i, eps_y=eps_y)
-
-
-def unadapted_output_error(suite: ReconSuite, task: TaskModel, x) -> float:
-    """The trigger statistic: mean-L1 between the unadapted output and its
-    reconstruction by R_y."""
-    xt = x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float32))
-    with T.no_grad():
-        trace = translate(task, xt)
-        return suite.member_error("y", trace.output).item()

@@ -49,9 +49,6 @@ class FeatureTrace:
     features: dict[int, Tensor]
     output: Tensor
 
-    def spatial(self, depth: int) -> tuple[int, int]:
-        return self.features[depth].data.shape[-2:]
-
 
 class TaskModel:
     """n-layer translation network; frozen after training, taps at every depth."""
@@ -170,49 +167,3 @@ def train_task(model: TaskModel, dataset, schedule: LrSchedule, seed: int = 0,
     model.trained_epochs += schedule.total_epochs
     return report
 
-
-# ---------------------------------------------------------------------------
-# CycleGAN loss terms as standalone computable operations. The default task
-# training above is supervised; these exist as unit-tested building blocks.
-
-_PROB_CLAMP = 1e-7
-
-
-def _arr(t) -> np.ndarray:
-    return t.data if isinstance(t, Tensor) else np.asarray(t, dtype=np.float32)
-
-
-def adversarial_loss(d_real, d_fake) -> float:
-    """mean[log d_real] + mean[log(1 - d_fake)] on given discriminator maps.
-
-    Probabilities are clamped to [1e-7, 1 - 1e-7] before the logs.
-    """
-    dr = np.clip(_arr(d_real), _PROB_CLAMP, 1.0 - _PROB_CLAMP)
-    df = np.clip(_arr(d_fake), _PROB_CLAMP, 1.0 - _PROB_CLAMP)
-    return float(np.log(dr).mean() + np.log(1.0 - df).mean())
-
-
-def cycle_consistency_loss(x, f_g_x, y, g_f_y) -> float:
-    """mean|F(G(x)) - x| + mean|G(F(y)) - y|."""
-    xa, fg = _arr(x), _arr(f_g_x)
-    ya, gf = _arr(y), _arr(g_f_y)
-    if xa.shape != fg.shape or ya.shape != gf.shape:
-        raise ValueError("shape mismatch in cycle_consistency_loss")
-    return float(np.abs(fg - xa).mean() + np.abs(gf - ya).mean())
-
-
-def identity_loss(g_x, x, f_y, y) -> float:
-    """mean|G(x) - x| + mean|F(y) - y|."""
-    gx, xa = _arr(g_x), _arr(x)
-    fy, ya = _arr(f_y), _arr(y)
-    if gx.shape != xa.shape or fy.shape != ya.shape:
-        raise ValueError("shape mismatch in identity_loss")
-    return float(np.abs(gx - xa).mean() + np.abs(fy - ya).mean())
-
-
-def cyclegan_total_loss(adv: float, cyc: float, idt: float,
-                        lambda1: float = 10.0, lambda2: float = 5.0) -> float:
-    """adv + lambda1 * cyc + lambda2 * idt."""
-    if lambda1 < 0 or lambda2 < 0:
-        raise ValueError("loss weights must be non-negative")
-    return float(adv + lambda1 * cyc + lambda2 * idt)

@@ -128,18 +128,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _from_op(data, (a, b), bwd, "add")
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    data = a.data - b.data
-
-    def bwd(out: Tensor) -> None:
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(out.grad, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(-out.grad, b.data.shape))
-
-    return _from_op(data, (a, b), bwd, "sub")
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     data = a.data * b.data
 

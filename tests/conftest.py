@@ -8,8 +8,8 @@ import pytest
 from ttalab.data import SyntheticTaskSpec, synthesize
 from ttalab.pipeline import (RunConfig, calibration_errors, ensure_dataset,
                              ensure_suite, ensure_task, pipeline_run)
-from ttalab.recon import ReconSuite, train_recon_suite, unadapted_output_error
-from ttalab.search import calibrate_threshold
+from ttalab.recon import ReconSuite, train_recon_suite
+from ttalab.search import TtaRunner, calibrate_threshold
 from ttalab.tasknet import TaskModel, train_task
 from ttalab.tensor import LrSchedule
 
@@ -63,10 +63,9 @@ def default_stack(tmp_path_factory) -> DefaultStack:
     suite = ensure_suite(cfg, task, dataset)
     errors = calibration_errors(task, suite, dataset)
     tau = calibrate_threshold(errors, cfg.percentile)
-    eps_id = np.array([unadapted_output_error(suite, task, x)
-                       for x, _ in dataset.pairs("id_test")])
-    eps_ood = np.array([unadapted_output_error(suite, task, x)
-                        for x, _ in dataset.pairs("ood_test")])
+    gate = TtaRunner(task=task, suite=suite)
+    eps_id = np.array([gate.unadapted(x)[1] for x, _ in dataset.pairs("id_test")])
+    eps_ood = np.array([gate.unadapted(x)[1] for x, _ in dataset.pairs("ood_test")])
     return DefaultStack(cfg=cfg, dataset=dataset, task=task, suite=suite,
                         calib_errors=errors, tau=tau, eps_id=eps_id,
                         eps_ood=eps_ood, build_seconds=time.time() - t0)

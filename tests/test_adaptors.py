@@ -7,7 +7,7 @@ import ttalab.adaptors as A
 import ttalab.tensor as T
 from ttalab.adaptors import (Configuration, adapt_steps, adapted_forward,
                              identity_step, init_adaptors)
-from ttalab.recon import unadapted_output_error
+from ttalab.search import TtaRunner
 from ttalab.tasknet import translate
 from ttalab.tensor import Tensor
 
@@ -107,7 +107,7 @@ class TestAdaptedForward:
         x = sample_x(ds)
         adaptors = init_adaptors(task, seed=0)
         _, errors = adapted_forward(task, suite, adaptors, Configuration.of([1]), x)
-        assert errors.eps_y == unadapted_output_error(suite, task, x)
+        assert errors.eps_y == TtaRunner(task=task, suite=suite).unadapted(x)[1]
 
     def test_out_of_range_level(self, small_stack):
         ds, task, suite = small_stack
@@ -174,7 +174,7 @@ class TestAdaptSteps:
         x = sample_x(ds)
         adaptors = init_adaptors(task, seed=0)
         trace = adapt_steps(task, suite, adaptors, Configuration.of([3]), x, m_steps=3)
-        assert trace.steps[0].eps_y == unadapted_output_error(suite, task, x)
+        assert trace.steps[0].eps_y == TtaRunner(task=task, suite=suite).unadapted(x)[1]
 
     def test_gradient_isolation_inactive_unchanged(self, small_stack):
         ds, task, suite = small_stack

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 import ttalab.tensor as T
+from ttalab.adaptors import Configuration, adapted_forward, init_adaptors
 from ttalab.data import make_pair
-from ttalab.recon import shift_errors, unadapted_output_error
 from ttalab.search import TtaRunner, calibrate_threshold
 from ttalab.tasknet import TaskModel, translate
 from ttalab.tensor import Tensor
@@ -30,14 +30,14 @@ def test_trained_model_beats_untrained_on_id(default_stack):
 def test_training_set_components_below_own_p95(default_stack):
     ds, task, suite = default_stack.dataset, default_stack.task, default_stack.suite
     comps = {key: [] for key in suite.member_keys()}
-    with T.no_grad():
-        for x, _ in ds.pairs("train")[:128]:
-            trace = translate(task, Tensor(x))
-            errors = shift_errors(suite, trace, Tensor(x))
-            comps["x"].append(errors.eps_x)
-            comps["y"].append(errors.eps_y)
-            for i, v in errors.eps_i.items():
-                comps[i].append(v)
+    # fresh adaptors are an exact identity: these are the unadapted errors
+    full = Configuration.of(range(1, task.num_levels + 1))
+    for x, _ in ds.pairs("train")[:128]:
+        _, errors = adapted_forward(task, suite, init_adaptors(task), full, x)
+        comps["x"].append(errors.eps_x)
+        comps["y"].append(errors.eps_y)
+        for i, v in errors.eps_i.items():
+            comps[i].append(v)
     for key, vals in comps.items():
         p95 = calibrate_threshold(vals, 95)
         frac_below = np.mean([v < p95 for v in vals])
@@ -53,11 +53,12 @@ def test_pure_noise_inputs_trigger(default_stack):
     sigma = 3.0 * ds.spec.noise_sigma
     rng = np.random.default_rng(404)
     size = ds.spec.image_size
+    gate = TtaRunner(task=task, suite=suite)
     above = 0
     n = 32
     for _ in range(n):
         x = np.clip(sigma * rng.standard_normal((1, size, size)), -1, 1).astype(np.float32)
-        eps = unadapted_output_error(suite, task, x)
+        eps = gate.unadapted(x)[1]
         above += eps > default_stack.tau
     assert above / n >= 0.80
 
@@ -67,10 +68,11 @@ def test_negative_control_shift_mult_one(default_stack):
     ds, task, suite = default_stack.dataset, default_stack.task, default_stack.suite
     from dataclasses import replace
     spec_ctrl = replace(ds.spec, shift=replace(ds.spec.shift, noise_mult=1.0))
+    gate = TtaRunner(task=task, suite=suite)
     eps_ctrl = []
     for i in range(96):
         x, _ = make_pair(spec_ctrl, "ood_test", i)
-        eps_ctrl.append(unadapted_output_error(suite, task, x))
+        eps_ctrl.append(gate.unadapted(x)[1])
     gap = abs(float(np.mean(eps_ctrl)) - float(default_stack.eps_id.mean()))
     assert gap < 0.005, f"negative-control gap {gap:.4f}"
     frac = np.mean([e > default_stack.tau for e in eps_ctrl])

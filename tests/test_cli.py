@@ -3,6 +3,7 @@ import json
 import pytest
 
 from ttalab.cli import main
+from ttalab.pipeline import RunConfig
 
 
 @pytest.fixture(scope="module")
@@ -69,6 +70,19 @@ def test_compare(cli_workspace, capsys, tmp_path):
     assert payload["strategies"] == ["be", "fs"]
 
 
+def test_compare_keeps_percentiles_apart(cli_workspace, capsys, tmp_path):
+    root, cfg = cli_workspace
+    runs = root / "w" / "runs"
+    for percentile in ("90", "80"):
+        assert main(["run-tta", "--config", str(cfg), "--strategy", "grid",
+                     "--percentile", percentile]) == 0
+    out_stem = tmp_path / "cmp"
+    assert main(["compare", str(runs / "grid_p90_M2_seed4"), str(runs / "grid_p80_M2_seed4"),
+                 str(runs / "fs_p90_M2_seed4"), "--out", str(out_stem)]) == 0
+    payload = json.loads(out_stem.with_suffix(".json").read_text())
+    assert payload["strategies"] == ["fs", "grid_p80_M2_seed4", "grid_p90_M2_seed4"]
+
+
 def test_dump_traces(cli_workspace, capsys):
     root, cfg = cli_workspace
     assert main(["dump-traces", "--config", str(cfg), "--strategy", "grid",
@@ -108,3 +122,37 @@ def test_unknown_strategy_flag_rejected(cli_workspace):
     _, cfg = cli_workspace
     with pytest.raises(SystemExit):
         main(["run-tta", "--config", str(cfg), "--strategy", "bogus"])
+
+
+def test_retrain_reason_logged_to_stderr(tmp_path, capsys):
+    config = {"workdir": str(tmp_path / "w"), "n_layers": 5, "base_channels": 4,
+              "max_channels": 8, "task_hold": 1, "task_decay": 0,
+              "data": {"image_size": 16, "train": 8, "calib": 2, "id_test": 2, "ood_test": 2}}
+    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    first.write_text(json.dumps(config))
+    second.write_text(json.dumps({**config, "task_lr": 1e-3}))
+    assert main(["train-task", "--config", str(first)]) == 0
+    capsys.readouterr()
+    assert main(["train-task", "--config", str(second)]) == 0
+    err = capsys.readouterr().err
+    assert "retraining" in err and "'base_lr': 0.001" in err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("steps", 0), ("adaptor_width", 0), ("batch_size", 0), ("loss_weights", [1.0, -1.0, 1.0]),
+    ("tpe_start", 21), ("tpe_gamma", 2.0), ("tpe_candidates", 0), ("n_layers", 4),
+    ("base_channels", 0), ("seed", -1), ("adaptor_lr", -1.0), ("task_lr", 0.0),
+    ("recon_hold", -1), ("percentile", 100.0), ("strategy", "anneal"), ("psnr_max", "peak"),
+])
+def test_invalid_config_rejected_before_any_work(cli_workspace, tmp_path, capsys, field, value):
+    _, cfg = cli_workspace
+    bad = {**json.loads(cfg.read_text()), "workdir": str(tmp_path / "w"), field: value}
+    with pytest.raises(ValueError):
+        RunConfig.from_dict(bad)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(bad))
+    with pytest.raises(SystemExit) as exit_info:
+        main(["calibrate", "--config", str(path)])
+    assert exit_info.value.code == 2
+    assert "invalid config" in capsys.readouterr().err
+    assert not (tmp_path / "w").exists()

@@ -7,7 +7,7 @@ import pytest
 import ttalab.pipeline as P
 import ttalab.tensor as T
 from ttalab.data import SyntheticTaskSpec
-from ttalab.pipeline import (RunConfig, compare_strategies, metrics_report,
+from ttalab.pipeline import (RunConfig, arm_labels, compare_strategies, metrics_report,
                              pipeline_run, read_report_csv, write_wilcoxon_csv)
 from ttalab.tensor import NumericError
 
@@ -43,6 +43,10 @@ class TestRunConfig:
     def test_percentile_bounds(self, tmp_path):
         with pytest.raises(ValueError, match="percentile"):
             tiny_config(tmp_path, percentile=100.0)
+
+    def test_zero_decay_epochs_valid(self, tmp_path):
+        cfg = tiny_config(tmp_path, task_decay=0, recon_decay=0)
+        assert cfg.task_schedule().total_epochs == cfg.task_hold
 
 
 class TestPipelineRun:
@@ -173,6 +177,15 @@ class TestCompare:
         cell = comparison["cells"]["grid|rand10"]
         assert cell["mae"]["p"] is None  # averaged back to equality
 
+    def test_arms_group_repeat_seeds_only(self, tiny_run):
+        cfg, _ = tiny_run
+        runs = {"grid_s0": dict(strategy="grid", seed=0),
+                "grid_s1": dict(strategy="grid", seed=1, workdir="elsewhere", dump_traces=True),
+                "fs_p95": dict(strategy="fs"),
+                "fs_p90": dict(strategy="fs", percentile=90.0)}
+        configs = [cfg.with_overrides(**kw).to_dict() for kw in runs.values()]
+        assert arm_labels(configs, list(runs)) == ["grid", "grid", "fs_p95", "fs_p90"]
+
     def test_sample_id_mismatch_rejected(self, tiny_run):
         _, report = tiny_run
         truncated = report.rows[:-1]
@@ -245,6 +258,24 @@ class TestTraces:
             payload = json.loads(files[0].read_text())
             assert "traces" in payload and len(payload["traces"]) >= 1
 
+    def test_sample_filter_keeps_stream_index(self, tmp_path):
+        cfg = tiny_config(tmp_path / "tr", dump_traces=True, strategy="grid",
+                          tau_transductive=True, percentile=50.0)
+        report = pipeline_run(cfg)
+        fired = [r["sample_id"] for r in report.rows if r["triggered"]]
+        quiet = [r["sample_id"] for r in report.rows if not r["triggered"]]
+        wanted = {fired[-1], quiet[-1]}  # late in the stream, so the index matters
+        dataset = P.ensure_dataset(cfg)
+        task = P.ensure_task(cfg, dataset)
+        suite = P.ensure_suite(cfg, task, dataset)
+        out = tmp_path / "filtered"
+        rows = P.run_tta(cfg, task, suite, dataset, report.tau, trace_dir=out,
+                         sample_ids=wanted)
+        assert [r for r in report.rows if r["sample_id"] in wanted] == rows
+        assert [f.name for f in out.iterdir()] == [f"{fired[-1]}.json"]
+        run_file = report.run_dir / "traces" / f"{fired[-1]}.json"
+        assert (out / f"{fired[-1]}.json").read_bytes() == run_file.read_bytes()
+
 
 class TestArtifactReuse:
     """A stage reuses its artifact only when its config slice and upstream hash match."""
@@ -290,7 +321,9 @@ class TestArtifactReuse:
         assert counted == {"task": 2, "suite": 2}
         assert second[0] != first[0] and second[1] != first[1]
 
-    @pytest.mark.parametrize("override", [dict(task_lr=1e-3), dict(batch_size=4)])
+    @pytest.mark.parametrize("override", [dict(task_lr=1e-3), dict(batch_size=4),
+                                          dict(n_layers=6), dict(base_channels=8),
+                                          dict(seed=1)])
     def test_changed_task_training_retrains_task_and_suite(self, tmp_path, counted, override):
         cfg = self.config(tmp_path)
         self.build(cfg)

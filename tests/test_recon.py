@@ -1,12 +1,26 @@
 import numpy as np
 import pytest
 
-from ttalab.recon import (Autoencoder, ReconSuite, concat_symmetric, shift_errors,
-                          train_autoencoder, train_recon_suite, unadapted_output_error)
+from ttalab.adaptors import Configuration, adapted_forward, init_adaptors
+from ttalab.pipeline import calibration_errors
+from ttalab.recon import (Autoencoder, ReconSuite, concat_symmetric, train_autoencoder,
+                          train_recon_suite)
+from ttalab.search import TtaRunner
 from ttalab.tasknet import TaskModel, translate
 from ttalab.tensor import LrSchedule, Tensor
 
 rng = np.random.default_rng(17)
+
+
+def identity_errors(task, suite, x, levels=None):
+    """Per-level errors of the unadapted pass: fresh adaptors are an exact
+    identity, so adapted_forward at init scores the unadapted features."""
+    omega = Configuration.of(levels or range(1, task.num_levels + 1))
+    return adapted_forward(task, suite, init_adaptors(task), omega, x)[1]
+
+
+def gate_error(task, suite, x):
+    return TtaRunner(task=task, suite=suite).unadapted(x)[1]
 
 
 class IdentityRecon:
@@ -78,8 +92,8 @@ class TestReconSuite:
         ds, task, suite = small_stack
         fresh = ReconSuite(task, seed=23)
         xs = ds.pairs("train")[:12]
-        trained_err = np.mean([unadapted_output_error(suite, task, x) for x, _ in xs])
-        fresh_err = np.mean([unadapted_output_error(fresh, task, x) for x, _ in xs])
+        trained_err = np.mean([gate_error(task, suite, x) for x, _ in xs])
+        fresh_err = np.mean([gate_error(task, fresh, x) for x, _ in xs])
         assert trained_err < fresh_err
 
     def test_member_independence_and_determinism(self, small_stack):
@@ -113,46 +127,43 @@ class TestShiftErrors:
         stubbed = copy.deepcopy(suite)
         for key in stubbed.member_keys():
             stubbed.members[key] = IdentityRecon()
-        x = ds.pairs("id_test")[0][0]
-        trace = translate(task, Tensor(x))
-        errors = shift_errors(stubbed, trace, Tensor(x))
+        errors = identity_errors(task, stubbed, ds.pairs("id_test")[0][0])
         assert errors.eps_x == 0.0 and errors.eps_y == 0.0
         assert all(v == 0.0 for v in errors.eps_i.values())
 
     def test_all_errors_nonnegative_finite(self, small_stack):
         ds, task, suite = small_stack
         for x, _ in ds.pairs("ood_test")[:4]:
-            trace = translate(task, Tensor(x))
-            errors = shift_errors(suite, trace, Tensor(x))
+            errors = identity_errors(task, suite, x)
             vals = [errors.eps_x, errors.eps_y, *errors.eps_i.values()]
             assert all(np.isfinite(v) and v >= 0 for v in vals)
 
     def test_levels_subset(self, small_stack):
         ds, task, suite = small_stack
-        trace = translate(task, Tensor(ds.pairs("id_test")[0][0]))
-        errors = shift_errors(suite, trace, Tensor(ds.pairs("id_test")[0][0]),
-                              levels=(1, 3))
+        errors = identity_errors(task, suite, ds.pairs("id_test")[0][0], levels=(1, 3))
         assert set(errors.eps_i) == {1, 3}
 
 
 class TestUnadaptedOutputError:
+    """The gate statistic: R_y's error on the unadapted output (TtaRunner.unadapted)."""
+
     def test_deterministic(self, small_stack):
         ds, task, suite = small_stack
         x = ds.pairs("id_test")[0][0]
-        assert unadapted_output_error(suite, task, x) == \
-            unadapted_output_error(suite, task, x)
+        runner = TtaRunner(task=task, suite=suite)
+        (out_a, eps_a), (out_b, eps_b) = runner.unadapted(x), runner.unadapted(x)
+        assert eps_a == eps_b and np.array_equal(out_a, out_b)
 
     def test_equals_shift_errors_eps_y(self, small_stack):
         ds, task, suite = small_stack
         x = ds.pairs("id_test")[1][0]
-        trace = translate(task, Tensor(x))
-        assert unadapted_output_error(suite, task, x) == \
-            shift_errors(suite, trace, Tensor(x), levels=()).eps_y
+        assert gate_error(task, suite, x) == identity_errors(task, suite, x).eps_y
 
     def test_finite_distribution_percentile(self, small_stack):
         ds, task, suite = small_stack
         from ttalab.search import calibrate_threshold
-        errs = [unadapted_output_error(suite, task, x) for x, _ in ds.pairs("calib")]
+        errs = calibration_errors(task, suite, ds)
+        assert errs == [gate_error(task, suite, x) for x, _ in ds.pairs("calib")]
         tau = calibrate_threshold(errs, 95)
         assert np.isfinite(tau) and tau > 0
 

@@ -3,9 +3,7 @@ import pytest
 
 import ttalab.tensor as T
 from ttalab.data import SyntheticTaskSpec, synthesize
-from ttalab.tasknet import (TaskModel, adversarial_loss, cycle_consistency_loss,
-                            cyclegan_total_loss, default_layer_plan, identity_loss,
-                            train_task, translate)
+from ttalab.tasknet import TaskModel, default_layer_plan, train_task, translate
 from ttalab.tensor import LrSchedule, Tensor
 
 rng = np.random.default_rng(42)
@@ -110,64 +108,3 @@ class TestTrainTask:
         assert model.checksum() == before
         assert all(not p.requires_grad for p in model.params())
 
-
-class TestCycleGanLosses:
-    def test_adversarial_perfect_discriminator(self):
-        got = adversarial_loss(np.full((4, 4), 1 - 1e-7), np.full((4, 4), 1e-7))
-        assert abs(got) < 1e-5  # supremum of the objective is 0
-
-    def test_adversarial_half(self):
-        got = adversarial_loss(np.full((2, 2), 0.5), np.full((2, 2), 0.5))
-        assert got == pytest.approx(-1.3863, abs=1e-4)
-
-    def test_adversarial_matches_summation_oracle(self):
-        dr = rng.uniform(0.1, 0.9, size=(5, 5))
-        df = rng.uniform(0.1, 0.9, size=(5, 5))
-        ref = np.mean([np.log(v) for v in dr.flat]) + np.mean([np.log(1 - v) for v in df.flat])
-        assert adversarial_loss(dr, df) == pytest.approx(ref, abs=1e-6)
-
-    def test_adversarial_clamps_out_of_range(self):
-        got = adversarial_loss(np.array([1.5]), np.array([-0.5]))
-        assert np.isfinite(got)
-
-    def test_cycle_perfect(self):
-        x, y = rng.normal(size=(3, 3)), rng.normal(size=(3, 3))
-        assert cycle_consistency_loss(x, x, y, y) == 0.0
-
-    def test_cycle_offset(self):
-        x, y = rng.normal(size=(4, 4)), rng.normal(size=(4, 4))
-        assert cycle_consistency_loss(x, x + 0.1, y, y) == pytest.approx(0.1, abs=1e-6)
-
-    def test_cycle_matches_oracle(self):
-        x, fgx = rng.normal(size=(4, 4)), rng.normal(size=(4, 4))
-        y, gfy = rng.normal(size=(4, 4)), rng.normal(size=(4, 4))
-        ref = np.abs(fgx - x).mean() + np.abs(gfy - y).mean()
-        assert cycle_consistency_loss(x, fgx, y, gfy) == pytest.approx(ref, abs=1e-6)
-
-    def test_identity_perfect(self):
-        x, y = rng.normal(size=(3, 3)), rng.normal(size=(3, 3))
-        assert identity_loss(x, x, y, y) == 0.0
-
-    def test_identity_negated(self):
-        x = np.full((4, 4), 0.5)
-        y = rng.normal(size=(4, 4))
-        assert identity_loss(-x, x, y, y) == pytest.approx(1.0, abs=1e-6)
-
-    def test_identity_matches_oracle(self):
-        gx, x = rng.normal(size=(4, 4)), rng.normal(size=(4, 4))
-        fy, y = rng.normal(size=(4, 4)), rng.normal(size=(4, 4))
-        ref = np.abs(gx - x).mean() + np.abs(fy - y).mean()
-        assert identity_loss(gx, x, fy, y) == pytest.approx(ref, abs=1e-6)
-
-    def test_total_zero_weights(self):
-        assert cyclegan_total_loss(1.5, 7.0, 3.0, 0.0, 0.0) == 1.5
-
-    def test_total_weighted(self):
-        assert cyclegan_total_loss(1.0, 2.0, 3.0, 10.0, 5.0) == 36.0
-
-    def test_total_zero_losses(self):
-        assert cyclegan_total_loss(0.0, 0.0, 0.0, 10.0, 5.0) == 0.0
-
-    def test_total_negative_weight_rejected(self):
-        with pytest.raises(ValueError):
-            cyclegan_total_loss(1.0, 1.0, 1.0, -1.0, 0.0)

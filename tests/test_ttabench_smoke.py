@@ -30,6 +30,16 @@ def tracing(monkeypatch):
     return tracing
 
 
+def test_traced_run_reports_every_metric(tracing, tmp_path):
+    import harness
+    workload = harness.Workload("grid", id_test=1, ood_test=2)
+    cfg = harness.make_config(workload, 0, tmp_path / "stack", stack=harness.TOY_STACK)
+    *_, raised, metrics = harness._measure_traced(cfg, seconds=0.1)
+    assert raised == 0
+    assert all(math.isfinite(value) for value, _ in metrics.values())
+    assert metrics["pipeline.gate_calls_per_sample"][0] == 1
+
+
 def test_direct_metrics_cover_every_depth(tracing):
     task = TaskModel(n_layers=5, image_size=16, base_channels=4, max_channels=8, seed=3)
     suite = ReconSuite(task, seed=3)

@@ -15,9 +15,10 @@ from dataclasses import replace
 from pathlib import Path
 
 from .data import gen_dataset
-from .pipeline import (RunConfig, arm_labels, calibrate_tau, compare_strategies,
-                       ensure_dataset, ensure_suite, ensure_task, metrics_report,
-                       pipeline_run, read_report_csv, run_tta, write_wilcoxon_csv)
+from .pipeline import (RunConfig, RunConflict, arm_labels, calibrate_tau,
+                       compare_strategies, ensure_dataset, ensure_suite, ensure_task,
+                       metrics_report, open_run_dir, pipeline_run, read_report_csv, run_tta,
+                       write_wilcoxon_csv)
 from .search import STRATEGY_NAMES
 
 
@@ -110,6 +111,9 @@ def main(argv=None) -> int:
     log.setLevel(logging.INFO)
     try:
         return _run(args, cfg)
+    except RunConflict as err:
+        print(f"ttalab: error: {err}", file=sys.stderr)
+        return 2
     finally:
         log.removeHandler(handler)
         log.setLevel(level)
@@ -123,6 +127,8 @@ def _run(args, cfg: RunConfig | None) -> int:
         return 0
 
     if args.command in ("train-task", "train-recon", "calibrate", "dump-traces"):
+        # a dump shares its run's directory, so it is claimed before any work
+        out_dir = open_run_dir(cfg) / "traces" if args.command == "dump-traces" else None
         dataset = ensure_dataset(cfg)
         task = ensure_task(cfg, dataset)
         if args.command == "train-task":
@@ -136,7 +142,6 @@ def _run(args, cfg: RunConfig | None) -> int:
         if args.command == "calibrate":
             print(f"tau (p{cfg.percentile:g}, {'transductive' if cfg.tau_transductive else 'calib split'}) = {tau:.6f}")
             return 0
-        out_dir = Path(cfg.workdir) / "traces"
         wanted = set(args.sample_ids)
         rows = run_tta(cfg, task, suite, dataset, tau, trace_dir=out_dir, sample_ids=wanted)
         quiet = [r["sample_id"] for r in rows if not r["triggered"]]

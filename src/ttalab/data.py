@@ -14,7 +14,6 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
 from .tensor import read_tnsr, write_tnsr
 
@@ -90,6 +89,32 @@ def _clean_image(size: int, rng: np.random.Generator) -> np.ndarray:
     amp = rng.uniform(0.4, 0.7) * rng.choice([-1.0, 1.0])
     img += amp * ((xx >= x0) & (xx <= x0 + w) & (yy >= y0) & (yy <= y0 + h))
     return np.tanh(1.2 * img).astype(np.float32)
+
+
+def gaussian_filter(img: np.ndarray, sigma: float) -> np.ndarray:
+    """Separable Gaussian blur with reflected borders, of the input's dtype.
+
+    Bitwise equal to scipy.ndimage.gaussian_filter(img, sigma) at its
+    defaults (mode "reflect", truncate 4): the same normalised weights,
+    float64 taps summed centre first and then outermost pair first, and a
+    cast back to the input dtype after each axis.
+    """
+    radius = int(4.0 * float(sigma) + 0.5)
+    taps = np.arange(-radius, radius + 1)
+    phi = np.exp(-0.5 / (sigma * sigma) * taps ** 2)
+    weights = phi / phi.sum()
+    out = img
+    for axis in range(img.ndim):
+        pad = [(0, 0)] * img.ndim
+        pad[axis] = (radius, radius)
+        padded = np.moveaxis(np.pad(out.astype(np.float64), pad, mode="symmetric"), axis, 0)
+        n = out.shape[axis]
+        acc = padded[radius:radius + n] * weights[radius]
+        for j in range(radius, 0, -1):
+            acc += (padded[radius - j:radius - j + n] + padded[radius + j:radius + j + n]) \
+                * weights[radius + j]
+        out = np.moveaxis(acc, 0, axis).astype(img.dtype)
+    return out
 
 
 def _contrast_remap(img: np.ndarray, gamma: float) -> np.ndarray:

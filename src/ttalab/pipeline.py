@@ -122,6 +122,55 @@ class RunConfig:
         return f"{self.strategy}_p{self.percentile:g}_M{self.steps}_seed{self.seed}"
 
 
+class RunConflict(ValueError):
+    """A run directory already belongs to a run of another config."""
+
+
+# fields that do not change what a run computes: runs differing only in them
+# repeat one arm, and may share a run directory (seed is part of its name)
+_REPEAT_KEYS = ("seed", "workdir", "dump_traces")
+
+
+def _differing_keys(a: dict, b: dict, prefix: str = "") -> list[str]:
+    """Dotted names of the keys whose values differ, nested dicts walked."""
+    out = []
+    for key in sorted(set(a) | set(b)):
+        va, vb = a.get(key), b.get(key)
+        if isinstance(va, dict) and isinstance(vb, dict):
+            out += _differing_keys(va, vb, f"{prefix}{key}.")
+        elif va != vb:  # no config field is None, so a missing key differs too
+            out.append(prefix + key)
+    return out
+
+
+def open_run_dir(cfg: RunConfig) -> Path:
+    """<workdir>/runs/<run_name>, claimed for cfg before anything is written there.
+
+    The name carries only the strategy, percentile, steps and seed, so the
+    directory's manifest.json records the config that owns it. Once the
+    directory holds a run's outputs (report.csv or traces), a config that
+    differs from that one in any field of what a run computes (all but
+    _REPEAT_KEYS) is refused with RunConflict naming those fields, instead of
+    replacing those files. A claim without outputs, left by a run that failed
+    or a dump that traced nothing, passes to the new config.
+    """
+    run_dir = Path(cfg.workdir) / "runs" / cfg.run_name()
+    manifest = run_dir / "manifest.json"
+    config = json.loads(json.dumps(cfg.to_dict()))
+    has_outputs = (run_dir / "report.csv").exists() or (run_dir / "traces").exists()
+    if has_outputs and manifest.exists():
+        saved = json.loads(manifest.read_text()).get("config", {})
+        fields = [k for k in _differing_keys(saved, config) if k not in _REPEAT_KEYS]
+        if fields:
+            raise RunConflict(f"{run_dir} holds a run whose config differs in "
+                              f"{', '.join(fields)}; use another workdir or remove that run")
+    else:
+        run_dir.mkdir(parents=True, exist_ok=True)
+        manifest.write_text(json.dumps({"schema_version": REPORT_SCHEMA_VERSION,
+                                        "config": config}, indent=2))
+    return run_dir
+
+
 # ---------------------------------------------------------------------------
 # stage functions (each reuses an existing artifact only when everything that
 # produced it matches: its config slice and the upstream artifact's hash)
@@ -353,12 +402,11 @@ def pipeline_run(cfg: RunConfig) -> RunReport:
         stage_seconds[name] = time.perf_counter() - start
         return out
 
+    run_dir = open_run_dir(cfg)
     dataset = stage("data", ensure_dataset, cfg)
     task = stage("task", ensure_task, cfg, dataset)
     suite = stage("suite", ensure_suite, cfg, task, dataset)
     tau = stage("calibrate", calibrate_tau, cfg, task, suite, dataset)
-    run_dir = Path(cfg.workdir) / "runs" / cfg.run_name()
-    run_dir.mkdir(parents=True, exist_ok=True)
     trace_dir = run_dir / "traces" if cfg.dump_traces else None
     rows = stage("tta", run_tta, cfg, task, suite, dataset, tau, trace_dir=trace_dir)
     summary = build_summary(cfg, tau, rows, stage_seconds)
@@ -381,7 +429,6 @@ def pipeline_run(cfg: RunConfig) -> RunReport:
 # strategy comparison (pairwise Wilcoxon + Bonferroni)
 
 _COMPARE_METRICS = ("ssim", "mae", "psnr")
-_REPEAT_KEYS = ("seed", "workdir", "dump_traces")
 
 
 def arm_labels(configs: list[dict], run_names: list[str]) -> list[str]:

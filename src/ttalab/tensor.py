@@ -9,6 +9,19 @@ instead of propagating.
 
 Convolutions canonically take a single sample [C,H,W]; a leading batch axis
 [B,C,H,W] is accepted everywhere and treated independently per sample.
+
+Memory format: shapes are NCHW everywhere, but the convolutions, upsample and
+concat build their outputs and input gradients channels-last, as PyTorch's
+channels_last format: the [B,H,W,C] view (x.transpose(0, 2, 3, 1), or
+(1, 2, 0) without a batch axis) of such an array is C-contiguous. Elementwise
+ops keep their operands' layout, so activations and gradients stay
+channels-last from layer to layer. The conv core gathers its im2col windows
+from that view, so each copied run is kernel-width x channels floats, and the
+GEMM result [B*Ho*Wo, C_out] is already the output's memory. Any layout is
+accepted as input; one that is not channels-last costs a copy at the next
+convolution. The GEMM forms of a frozen (requires_grad=False) conv kernel are
+cached on its Tensor; adam_step and assigning a new .data array invalidate
+them, so a frozen kernel must not be written in place otherwise.
 """
 
 from __future__ import annotations
@@ -54,7 +67,7 @@ class Tensor:
     .grad across backward() calls until zero_grads() resets them.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_gemm")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float32)
@@ -62,6 +75,7 @@ class Tensor:
         self.grad: np.ndarray | None = None
         self._parents: tuple[Tensor, ...] = ()
         self._backward = None
+        self._gemm = None  # (data it was built from, [forward, flipped] GEMM forms)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -202,12 +216,22 @@ def sigmoid(a: Tensor) -> Tensor:
     return _from_op(data, (a,), bwd, "sigmoid")
 
 
+def _nhwc(x: np.ndarray) -> np.ndarray:
+    """Channels-last view of an NCHW-shaped [C,H,W] or [B,C,H,W] array."""
+    return x.transpose(1, 2, 0) if x.ndim == 3 else x.transpose(0, 2, 3, 1)
+
+
+def _nchw(xh: np.ndarray) -> np.ndarray:
+    """NCHW-shaped view of a channels-last [H,W,C] or [B,H,W,C] array."""
+    return xh.transpose(2, 0, 1) if xh.ndim == 3 else xh.transpose(0, 3, 1, 2)
+
+
 def concat_channels(a: Tensor, b: Tensor) -> Tensor:
     """Concatenate along the channel axis; a occupies the leading block."""
     if a.data.ndim != b.data.ndim or a.data.shape[-2:] != b.data.shape[-2:]:
         raise ValueError(f"spatial mismatch in concat: {a.shape} vs {b.shape}")
     axis = a.data.ndim - 3
-    data = np.concatenate([a.data, b.data], axis=axis)
+    data = _nchw(np.concatenate([_nhwc(a.data), _nhwc(b.data)], axis=-1))
     split = a.data.shape[axis]
 
     def bwd(out: Tensor) -> None:
@@ -221,7 +245,11 @@ def concat_channels(a: Tensor, b: Tensor) -> Tensor:
 
 
 def _upsample(x: np.ndarray, factor: int) -> np.ndarray:
-    return x.repeat(factor, axis=-2).repeat(factor, axis=-1)
+    xh = _nhwc(x)
+    *lead, h, w, c = xh.shape
+    up = np.empty((*lead, h, factor, w, factor, c), dtype=np.float32)
+    up[...] = xh[..., :, None, :, None, :]
+    return _nchw(up.reshape(*lead, h * factor, w * factor, c))
 
 
 def _upsample_grad(g: np.ndarray, factor: int) -> np.ndarray:
@@ -233,7 +261,7 @@ def _upsample_grad(g: np.ndarray, factor: int) -> np.ndarray:
     """
     out = None
     for i in range(factor):
-        row = g[..., i::factor, ::factor].copy()
+        row = g[..., i::factor, ::factor].copy(order="K")
         for j in range(1, factor):
             row += g[..., i::factor, j::factor]
         out = row if out is None else np.add(out, row, out=out)
@@ -254,6 +282,12 @@ def upsample_nearest(a: Tensor, factor: int = 2) -> Tensor:
 # convolutions
 
 
+def _channel_sums(g2: np.ndarray) -> np.ndarray:
+    """Column sums of a [pixels, C] gradient: one GEMV, far cheaper than a
+    reduction over the long axis of a channels-last array."""
+    return np.ones(g2.shape[0], dtype=np.float32) @ g2
+
+
 def _as_batched(x: np.ndarray) -> tuple[np.ndarray, bool]:
     if x.ndim == 3:
         return x[None], True
@@ -263,49 +297,75 @@ def _as_batched(x: np.ndarray) -> tuple[np.ndarray, bool]:
 
 
 def _im2col(x4: np.ndarray, kh: int, kw: int, stride: int) -> tuple[np.ndarray, int, int]:
-    """[C*kh*kw, B*Ho*Wo] patch matrix of [B,C,H,W], copied once from one strided view."""
-    x4 = np.ascontiguousarray(x4)
-    b, c, hp, wp = x4.shape
+    """[B*Ho*Wo, kh*kw*C] patch matrix of [B,C,H,W], copied once from one strided
+    view of its channels-last memory (itself a copy unless x4 is channels-last).
+
+    Each copied run is kw*C floats. With one channel that is only kw, so the
+    matrix is gathered transposed instead, in runs along the output rows, and
+    returned as a transposed view, which the GEMM takes without a copy.
+    """
+    xh = np.ascontiguousarray(_nhwc(x4))
+    b, hp, wp, c = xh.shape
     ho = (hp - kh) // stride + 1
     wo = (wp - kw) // stride + 1
-    sb, sc, sh, sw = x4.strides
-    win = np.ndarray((c, kh, kw, b, ho, wo), dtype=x4.dtype, buffer=x4,
-                     strides=(sc, sh, sw, sb, stride * sh, stride * sw))
-    return win.reshape(c * kh * kw, b * ho * wo), ho, wo
+    sb, sh, sw, sc = xh.strides
+    if c == 1:
+        win = np.ndarray((kh, kw, b, ho, wo), dtype=xh.dtype, buffer=xh,
+                         strides=(sh, sw, sb, stride * sh, stride * sw))
+        return win.reshape(kh * kw, b * ho * wo).T, ho, wo
+    win = np.ndarray((b, ho, wo, kh, kw, c), dtype=xh.dtype, buffer=xh,
+                     strides=(sb, stride * sh, stride * sw, sh, sw, sc))
+    return win.reshape(b * ho * wo, kh * kw * c), ho, wo
 
 
 def _correlate(xp: np.ndarray, kmat: np.ndarray, kh: int, kw: int,
                stride: int) -> tuple[np.ndarray, np.ndarray]:
-    """Valid cross-correlation of padded [B,C,H,W] with kmat [C_out, C*kh*kw] as one GEMM.
+    """Valid cross-correlation of padded [B,C,H,W] with kmat [kh*kw*C, C_out] as one GEMM.
 
-    Returns the [B,C_out,Ho,Wo] result and the im2col matrix it multiplied.
+    Returns the [B,C_out,Ho,Wo] result, a channels-last view of the GEMM's
+    output, and the im2col matrix it multiplied.
     """
     cols, ho, wo = _im2col(xp, kh, kw, stride)
-    out = (kmat @ cols).reshape(kmat.shape[0], xp.shape[0], ho, wo).transpose(1, 0, 2, 3)
-    return np.ascontiguousarray(out), cols
+    out = (cols @ kmat).reshape(xp.shape[0], ho, wo, kmat.shape[1])
+    return _nchw(out), cols
 
 
-def _flipped_kmat(kernel: np.ndarray) -> np.ndarray:
-    """[C_in, C_out*kh*kw] matrix of the spatially flipped, channel-transposed kernel."""
+def _gemm_form(kernel: np.ndarray, flipped: bool) -> np.ndarray:
+    """[kh*kw*C_in, C_out] matrix of a [C_out,C_in,kh,kw] kernel, or with flipped,
+    [kh*kw*C_out, C_in] of the spatially flipped, channel-transposed kernel."""
     cout, cin, kh, kw = kernel.shape
-    return kernel[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(cin, cout * kh * kw)
+    if flipped:
+        return kernel[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(kh * kw * cout, cin)
+    return kernel.transpose(2, 3, 1, 0).reshape(kh * kw * cin, cout)
+
+
+def _kernel_matrix(kernel: Tensor, flipped: bool) -> np.ndarray:
+    """_gemm_form of kernel.data, cached while the kernel is frozen."""
+    if kernel.requires_grad:
+        return _gemm_form(kernel.data, flipped)
+    if kernel._gemm is None or kernel._gemm[0] is not kernel.data:
+        kernel._gemm = (kernel.data, [None, None])
+    forms = kernel._gemm[1]
+    if forms[flipped] is None:
+        forms[flipped] = _gemm_form(kernel.data, flipped)
+    return forms[flipped]
 
 
 def _dilated_grad(g4: np.ndarray, kh: int, kw: int, stride: int, padding: int,
                   h: int, w: int) -> np.ndarray:
     """Output gradient [B,C_out,Ho,Wo] dilated by the stride and zero-padded by
-    k-1-padding: [B,C_out,h+kh-1,w+kw-1], whose valid correlation with the
-    flipped kernel is the gradient of the h x w conv input."""
+    k-1-padding: [B,C_out,h+kh-1,w+kw-1], channels-last, whose valid
+    correlation with the flipped kernel is the gradient of the h x w conv input."""
     b, cout, ho, wo = g4.shape
     # padding < kernel size keeps every output position inside the buffer
     top, left = kh - 1 - padding, kw - 1 - padding
-    gz = np.zeros((b, cout, h + kh - 1, w + kw - 1), dtype=np.float32)
-    gz[:, :, top:top + stride * (ho - 1) + 1:stride,
-       left:left + stride * (wo - 1) + 1:stride] = g4
-    return gz
+    gz = np.zeros((b, h + kh - 1, w + kw - 1, cout), dtype=np.float32)
+    gz[:, top:top + stride * (ho - 1) + 1:stride,
+       left:left + stride * (wo - 1) + 1:stride] = _nhwc(g4)
+    return _nchw(gz)
 
 
-def _upsampled_conv_input_grad(g4: np.ndarray, kernel: np.ndarray, stride: int,
+def _upsampled_conv_input_grad(g4: np.ndarray, kernel: Tensor, stride: int,
                                padding: int, h: int, w: int) -> np.ndarray:
     """Gradient of conv2d(upsample_x2(x)) with respect to the [B,C,h,w] input x.
 
@@ -314,11 +374,11 @@ def _upsampled_conv_input_grad(g4: np.ndarray, kernel: np.ndarray, stride: int,
     flipped kernel at stride 2, give dx on the coarse grid directly: a quarter
     of the work of the full-resolution gradient followed by its 2x2 sum.
     """
-    kh, kw = kernel.shape[2:]
+    kh, kw = kernel.data.shape[2:]
     gz = _dilated_grad(g4, kh, kw, stride, padding, 2 * h, 2 * w)
     rows = gz[:, :, :-1] + gz[:, :, 1:]
     box = rows[..., :-1] + rows[..., 1:]
-    dx, _ = _correlate(box, _flipped_kmat(kernel), kh, kw, 2)
+    dx, _ = _correlate(box, _kernel_matrix(kernel, True), kh, kw, 2)
     return dx
 
 
@@ -347,11 +407,12 @@ def conv2d(input: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> 
         raise ValueError(f"non-positive output size {ho}x{wo}")
 
     if padding:
-        xp = np.zeros((b, c, h + 2 * padding, w + 2 * padding), dtype=np.float32)
-        xp[:, :, padding:padding + h, padding:padding + w] = x4
+        xp = np.zeros((b, h + 2 * padding, w + 2 * padding, c), dtype=np.float32)
+        xp[:, padding:padding + h, padding:padding + w] = _nhwc(x4)
+        xp = _nchw(xp)
     else:
         xp = x4
-    out, cols = _correlate(xp, kernel.data.reshape(cout, cin * kh * kw), kh, kw, stride)
+    out, cols = _correlate(xp, _kernel_matrix(kernel, False), kh, kw, stride)
     if squeeze:
         out = out[0]
     if not kernel.requires_grad:
@@ -361,11 +422,12 @@ def conv2d(input: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> 
         g = outT.grad
         g4 = g[None] if squeeze else g
         if cols is not None:
-            gmat = g4.transpose(1, 0, 2, 3).reshape(cout, b * ho * wo)
-            kernel._accumulate((gmat @ cols.T).reshape(cout, cin, kh, kw))
+            g2 = _nhwc(g4).reshape(b * ho * wo, cout)
+            dk = (g2.T @ cols).reshape(cout, kh, kw, cin)
+            kernel._accumulate(dk.transpose(0, 3, 1, 2))
         if input.requires_grad:
             gz = _dilated_grad(g4, kh, kw, stride, padding, h, w)
-            dx, _ = _correlate(gz, _flipped_kmat(kernel.data), kh, kw, 1)
+            dx, _ = _correlate(gz, _kernel_matrix(kernel, True), kh, kw, 1)
             input._accumulate(dx[0] if squeeze else dx)
 
     return _from_op(out, (input, kernel), bwd, "conv2d")
@@ -397,21 +459,26 @@ def conv_layer(input: Tensor, weight: Tensor, bias: Tensor, stride: int = 1,
     x = Tensor(_upsample(input.data, 2)) if upsample else input
     conv = conv2d(x, weight, stride=stride, padding=padding)
     z = conv.data
-    z += bias.data[:, None, None]
+    zh = _nhwc(z)  # the conv's own memory: bias and activation run on it in place
+    zh += bias.data
     if activation == "lrelu":
-        np.maximum(z, z * _LRELU_SLOPE, out=z)
+        np.maximum(zh, zh * _LRELU_SLOPE, out=zh)
     elif activation == "tanh":
-        np.tanh(z, out=z)
+        np.tanh(zh, out=zh)
 
     def bwd(out: Tensor) -> None:
-        g = out.grad
+        gh = _nhwc(out.grad)
         if activation == "lrelu":
-            g = np.where(z > 0, g, g * _LRELU_SLOPE)  # z > 0 exactly where its input was
+            # 1 where zh > 0 (exactly where its input was), else the slope: exact
+            # factors, and branch-free, unlike np.where on a random sign pattern
+            factor = (zh > 0).astype(np.float32)
+            np.maximum(factor, _LRELU_SLOPE, out=factor)
+            gh = np.multiply(factor, gh, out=factor)
         elif activation == "tanh":
-            g = g * (1.0 - z * z)
+            gh = gh * (1.0 - zh * zh)
+        g = _nchw(gh)
         if bias.requires_grad:
-            # same summation order as add's broadcast reduction
-            bias._accumulate((g.sum(axis=0) if g.ndim == 4 else g).sum(axis=(1, 2)))
+            bias._accumulate(_channel_sums(gh.reshape(-1, gh.shape[-1])))
         if conv._backward is not None:
             conv.grad = g
             conv._backward(conv)
@@ -419,7 +486,7 @@ def conv_layer(input: Tensor, weight: Tensor, bias: Tensor, stride: int = 1,
         if upsample and input.requires_grad:
             g4, squeeze = _as_batched(g)
             h, w = input.data.shape[-2:]
-            dx = _upsampled_conv_input_grad(g4, weight.data, stride, padding, h, w)
+            dx = _upsampled_conv_input_grad(g4, weight, stride, padding, h, w)
             input._accumulate(dx[0] if squeeze else dx)
 
     return _from_op(z, (input, weight, bias), bwd, "conv_layer")
@@ -437,20 +504,22 @@ def conv2d_1x1(input: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
         raise ValueError(f"bias must be [{cout}], got {bias.data.shape}")
     w2 = kernel.data.reshape(cout, cin)
     b, _, h, w = x4.shape
-    x3 = x4.reshape(b, cin, h * w)
-    out = (w2 @ x3).reshape(b, cout, h, w) + bias.data[None, :, None, None]
+    x2 = _nhwc(x4).reshape(b * h * w, cin)
+    out = x2 @ w2.T
+    out += bias.data
+    out = _nchw(out.reshape(b, h, w, cout))
     if squeeze:
         out = out[0]
 
     def bwd(outT: Tensor) -> None:
-        g3 = outT.grad.reshape(b, cout, h * w)
+        g = outT.grad
+        g2 = _nhwc(g[None] if squeeze else g).reshape(b * h * w, cout)
         if kernel.requires_grad:
-            dw = np.tensordot(g3, x3, axes=([0, 2], [0, 2]))
-            kernel._accumulate(dw.reshape(cout, cin, 1, 1))
+            kernel._accumulate((g2.T @ x2).reshape(cout, cin, 1, 1))
         if bias.requires_grad:
-            bias._accumulate(g3.sum(axis=(0, 2)))
+            bias._accumulate(_channel_sums(g2))
         if input.requires_grad:
-            dx = (w2.T @ g3).reshape(x4.shape)
+            dx = _nchw((g2 @ w2).reshape(b, h, w, cin))
             input._accumulate(dx[0] if squeeze else dx)
 
     return _from_op(out, (input, kernel, bias), bwd, "conv2d_1x1")
@@ -587,6 +656,7 @@ def adam_step(params: list[Tensor], state: AdamState) -> None:
         state.v[i] = b2 * state.v[i] + (1.0 - b2) * np.square(p.grad)
         m_hat = state.m[i] / bc1
         v_hat = state.v[i] / bc2
+        p._gemm = None  # the in-place update below would leave it stale
         p.data -= (state.lr * m_hat / (np.sqrt(v_hat) + state.eps)).astype(np.float32)
         _check_finite(p.data, "adam_step")
 

@@ -99,8 +99,36 @@ def test_dump_traces_honours_tpe_config(cli_workspace, tmp_path, capsys):
     assert main(["dump-traces", "--config", str(tpe_cfg), "--strategy", "tpe",
                  "--tau-transductive", "--percentile", "5",
                  "--sample-id", "ood_test-0000"]) == 0
-    payload = json.loads((root / "w" / "traces" / "ood_test-0000.json").read_text())
+    trace = root / "w" / "runs" / "tpe_p5_M2_seed4" / "traces" / "ood_test-0000.json"
+    payload = json.loads(trace.read_text())
     assert len(payload["traces"]) == 3
+
+
+def test_dump_traces_of_two_strategies_both_remain(cli_workspace, capsys):
+    root, cfg = cli_workspace
+    for strategy in ("grid", "fs"):
+        assert main(["dump-traces", "--config", str(cfg), "--strategy", strategy,
+                     "--tau-transductive", "--percentile", "6",
+                     "--sample-id", "ood_test-0001"]) == 0
+    for strategy, configs in (("grid", 7), ("fs", None)):
+        trace = root / "w" / "runs" / f"{strategy}_p6_M2_seed4" / "traces" / "ood_test-0001.json"
+        payload = json.loads(trace.read_text())
+        assert configs is None or len(payload["traces"]) == configs
+    assert not (root / "w" / "traces").exists()
+
+
+def test_run_with_other_config_refused(cli_workspace, capsys):
+    root, cfg = cli_workspace
+    args = ["run-tta", "--config", str(cfg), "--strategy", "fs", "--percentile", "75"]
+    assert main(args) == 0
+    report = root / "w" / "runs" / "fs_p75_M2_seed4" / "report.csv"
+    before = report.read_bytes()
+    capsys.readouterr()
+    assert main(args + ["--adaptor-lr", "0.01", "--tau-transductive"]) == 2
+    err = capsys.readouterr().err
+    assert "adaptor_lr" in err and "tau_transductive" in err
+    assert report.read_bytes() == before
+    assert main(args + ["--dump-traces"]) == 0  # traces do not change what a run computes
 
 
 def test_percentile_takes_any_value_inside_range(cli_workspace, capsys):

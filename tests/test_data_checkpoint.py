@@ -1,10 +1,14 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ttalab
 from ttalab.checkpoint import load_suite, load_task, save_suite, save_task
-from ttalab.data import (ShiftParams, SyntheticTaskSpec, gen_dataset,
+from ttalab.data import (ShiftParams, SyntheticTaskSpec, gaussian_filter, gen_dataset,
                          load_dataset, make_pair, synthesize, write_pgm)
 from ttalab.tasknet import TaskModel
 
@@ -77,6 +81,43 @@ class TestSyntheticData:
             tiny_spec(kind="superres")
 
 
+class TestGaussianFilter:
+    CASES = [((32, 32), 2.5), ((32, 32), 1.0), ((64, 48), 0.7), ((16, 16), 2.5),
+             ((8, 8), 2.5), ((4, 5), 3.0), ((32, 32), 1.2), ((7,), 1.5), ((3, 4, 5), 1.0)]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape,sigma", CASES)
+    def test_bitwise_equal_to_scipy(self, shape, sigma, dtype):
+        ndimage = pytest.importorskip("scipy.ndimage")
+        img = np.random.default_rng(len(shape) * 100 + shape[-1]).standard_normal(shape)
+        img = img.astype(dtype)
+        ours = gaussian_filter(img, sigma)
+        assert ours.dtype == img.dtype
+        assert np.array_equal(ours, ndimage.gaussian_filter(img, sigma))
+
+    def test_radius_beyond_image_reflects(self):
+        # sigma 3 on 4 samples: radius 12 reflects the line several times over
+        line = np.array([1.0, 2.0, 3.0, 4.0])
+        taps = np.arange(-12, 13)
+        w = np.exp(-taps ** 2 / 18.0)
+        w /= w.sum()
+        period = np.concatenate([line, line[::-1]])  # d c b a | a b c d | d c b a
+        ref = [sum(wk * period[(i + k) % 8] for wk, k in zip(w, taps)) for i in range(4)]
+        assert np.allclose(gaussian_filter(line, 3.0), ref, rtol=1e-12)
+
+    def test_constant_image_unchanged(self):
+        img = np.full((9, 7), 0.25, np.float32)
+        assert np.allclose(gaussian_filter(img, 2.0), img, atol=1e-7)
+
+    def test_import_does_not_load_scipy(self):
+        src = str(Path(ttalab.__file__).resolve().parents[1])
+        code = (f"import sys; sys.path.insert(0, {src!r}); import ttalab, ttalab.cli; "
+                "print('scipy' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True)
+        assert out.stdout.strip() == "False"
+
+
 class TestDatasetOnDisk:
     def test_round_trip(self, tmp_path):
         spec = tiny_spec()
@@ -105,6 +146,16 @@ class TestDatasetOnDisk:
         victim.write_bytes(bytes(blob))
         with pytest.raises(ValueError, match="hash mismatch"):
             load_dataset(tmp_path / "d")
+
+    @pytest.mark.parametrize("shift,digest", [
+        (ShiftParams(), "77752a817d499fbabd584d3f9d044948cbbd31e826d0d8eab3c737664a739fbb"),
+        (ShiftParams(blur=1.2, gamma=1.5),
+         "03c67d19522a49e3f698cc5cff6cc95623e4efe4a6431f2b639f0e09e093a88c"),
+    ])
+    def test_default_content_hash_pinned(self, tmp_path, shift, digest):
+        # the bytes of the default benchmark data, as first generated with scipy's filter
+        gen_dataset(SyntheticTaskSpec(shift=shift), tmp_path / "d")
+        assert json.loads((tmp_path / "d" / "index.json").read_text())["content_sha256"] == digest
 
     def test_pgm_preview(self, tmp_path):
         img = np.linspace(-1, 1, 64, dtype=np.float32).reshape(8, 8)

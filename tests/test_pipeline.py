@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import logging
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -275,6 +277,85 @@ class TestTraces:
         assert [f.name for f in out.iterdir()] == [f"{fired[-1]}.json"]
         run_file = report.run_dir / "traces" / f"{fired[-1]}.json"
         assert (out / f"{fired[-1]}.json").read_bytes() == run_file.read_bytes()
+
+
+# one changed value per RunConfig field
+_FIELD_CHANGES = {
+    "seed": 4, "n_layers": 5, "base_channels": 8, "max_channels": 32, "task_lr": 1e-3,
+    "task_hold": 3, "task_decay": 3, "recon_lr": 2e-3, "recon_hold": 2, "recon_decay": 4,
+    "batch_size": 4, "strategy": "grid", "percentile": 90.0, "steps": 3, "adaptor_lr": 1e-2,
+    "adaptor_width": 4, "loss_weights": (1.0, 0.5, 1.0), "tau_transductive": True,
+    "fs_faithful_pseudocode": True, "tpe_trials": 10, "tpe_start": 3, "tpe_gamma": 0.5,
+    "tpe_candidates": 12, "psnr_max": "range", "dump_traces": True,
+    "workdir": None, "data": None,  # built from the base config in the test
+}
+
+
+class TestRunIdentity:
+    """Each RunConfig field either moves a run's directory or is refused in it."""
+
+    def test_table_covers_every_field(self):
+        assert set(_FIELD_CHANGES) == {f.name for f in dataclasses.fields(RunConfig)}
+
+    @pytest.mark.parametrize("field", sorted(_FIELD_CHANGES))
+    def test_changed_field_moves_or_is_refused(self, tmp_path, field):
+        base = tiny_config(tmp_path / "w")
+        value = {"workdir": str(tmp_path / "other"),
+                 "data": dataclasses.replace(base.data, ood_test=13)}.get(field,
+                                                                         _FIELD_CHANGES[field])
+        changed = dataclasses.replace(base, **{field: value})
+        assert getattr(changed, field) != getattr(base, field)
+        claimed = P.open_run_dir(base)
+        (claimed / "report.csv").write_text("")  # base's run has finished
+        if Path(changed.workdir) / "runs" / changed.run_name() != claimed:
+            assert P.open_run_dir(changed) != claimed  # the identity moved
+        elif field == "dump_traces":  # traces do not change what a run computes
+            assert P.open_run_dir(changed) == claimed
+        else:
+            key = "data.ood_test" if field == "data" else field
+            with pytest.raises(P.RunConflict, match=key):
+                P.open_run_dir(changed)
+
+    def test_pipeline_refuses_before_any_work(self, tmp_path):
+        base = tiny_config(tmp_path)
+        (P.open_run_dir(base) / "traces").mkdir()  # a dump of base's run
+        with pytest.raises(P.RunConflict, match="adaptor_lr"):
+            pipeline_run(dataclasses.replace(base, adaptor_lr=1e-2))
+        assert not (tmp_path / "data").exists()
+
+    def test_claim_without_outputs_passes_on(self, tmp_path):
+        base = tiny_config(tmp_path)
+        run_dir = P.open_run_dir(base)
+        changed = dataclasses.replace(base, task_lr=1e-3)
+        assert P.open_run_dir(changed) == run_dir
+        saved = json.loads((run_dir / "manifest.json").read_text())["config"]
+        assert saved["task_lr"] == 1e-3
+        (run_dir / "traces").mkdir()
+        with pytest.raises(P.RunConflict, match="task_lr"):
+            P.open_run_dir(base)
+
+    def test_failed_run_then_changed_config(self, tiny_run, monkeypatch):
+        cfg = dataclasses.replace(tiny_run[0], percentile=80.0)
+
+        def fail(*args, **kwargs):
+            raise NumericError("non-finite values in a test stage")
+
+        with monkeypatch.context() as m:
+            m.setattr(P, "run_tta", fail)
+            with pytest.raises(NumericError):
+                pipeline_run(cfg)
+        report = pipeline_run(dataclasses.replace(cfg, adaptor_lr=1e-2))
+        assert (report.run_dir / "report.csv").exists()
+        saved = json.loads((report.run_dir / "manifest.json").read_text())["config"]
+        assert saved["adaptor_lr"] == 1e-2
+
+    def test_finished_run_kept(self, tiny_run):
+        cfg, report = tiny_run
+        before = {f.name: f.read_bytes() for f in report.run_dir.iterdir() if f.is_file()}
+        with pytest.raises(P.RunConflict, match="loss_weights"):
+            pipeline_run(dataclasses.replace(cfg, loss_weights=(1.0, 0.0, 1.0)))
+        assert {f.name: f.read_bytes() for f in report.run_dir.iterdir()
+                if f.is_file()} == before
 
 
 class TestArtifactReuse:

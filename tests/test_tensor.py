@@ -49,6 +49,19 @@ def conv2d_reference_grads(x, k, g, stride, padding):
     return dxp[:, padding:padding + h, padding:padding + w], dk
 
 
+def _assert_im2col_is_sliding_window(x4, kernel, stride):
+    kh, kw = kernel
+    b, c = x4.shape[:2]
+    win = np.lib.stride_tricks.sliding_window_view(x4, kernel, axis=(2, 3))
+    win = win[:, :, ::stride, ::stride]
+    ho, wo = win.shape[2:4]
+    # rows are output pixels (b, i, j), columns window taps (a, b, channel)
+    ref = win.transpose(0, 2, 3, 4, 5, 1).reshape(b * ho * wo, kh * kw * c)
+    cols, got_ho, got_wo = T._im2col(x4, kh, kw, stride)
+    assert (got_ho, got_wo) == (ho, wo)
+    assert cols.dtype == ref.dtype and np.array_equal(cols, ref)
+
+
 class TestConv2d:
     def test_scaling_identity(self):
         x = Tensor(np.ones((1, 3, 3), np.float32))
@@ -120,15 +133,14 @@ class TestConv2d:
         x4 = rng.normal(size=(2, 3, 8, 9)).astype(np.float32)
         if transposed:
             x4 = x4.transpose(0, 1, 3, 2)  # not C-contiguous
-        kh, kw = kernel
-        b, c = x4.shape[:2]
-        win = np.lib.stride_tricks.sliding_window_view(x4, kernel, axis=(2, 3))
-        win = win[:, :, ::stride, ::stride]
-        ho, wo = win.shape[2:4]
-        ref = win.transpose(1, 4, 5, 0, 2, 3).reshape(c * kh * kw, b * ho * wo)
-        cols, got_ho, got_wo = T._im2col(x4, kh, kw, stride)
-        assert (got_ho, got_wo) == (ho, wo)
-        assert cols.dtype == ref.dtype and np.array_equal(cols, ref)
+        _assert_im2col_is_sliding_window(x4, kernel, stride)
+
+    @pytest.mark.parametrize("channels", [1, 3])
+    @pytest.mark.parametrize("kernel", [(3, 3), (5, 3)])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_im2col_channels_last_and_one_channel(self, stride, kernel, channels):
+        x4 = rng.normal(size=(2, 8, 9, channels)).astype(np.float32).transpose(0, 3, 1, 2)
+        _assert_im2col_is_sliding_window(x4, kernel, stride)
 
     def test_padding_not_below_kernel_rejected(self):
         with pytest.raises(ValueError, match="padding"):
@@ -301,6 +313,101 @@ class TestConv1x1:
         with pytest.raises(ValueError, match="channel mismatch"):
             conv2d_1x1(Tensor(np.zeros((3, 4, 4))),
                        Tensor(np.zeros((2, 2, 1, 1))), Tensor(np.zeros(2)))
+
+
+def _channels_last(a):
+    """True when a's channel axis is innermost in memory (shape stays NCHW)."""
+    axes = (1, 2, 0) if a.ndim == 3 else (0, 2, 3, 1)
+    return a.transpose(axes).flags.c_contiguous
+
+
+def _layouts(x):
+    """The same NCHW values in C order, channels-last memory and a strided view."""
+    axes, back = ((1, 2, 0), (2, 0, 1)) if x.ndim == 3 else ((0, 2, 3, 1), (0, 3, 1, 2))
+    wide = np.zeros(x.shape[:-1] + (2 * x.shape[-1],), np.float32)
+    wide[..., ::2] = x
+    return {"nchw": x, "channels_last": np.ascontiguousarray(x.transpose(axes)).transpose(back),
+            "strided": wide[..., ::2]}
+
+
+class TestMemoryFormat:
+    @pytest.mark.parametrize("batched", [False, True])
+    @pytest.mark.parametrize("channels", [1, 3])
+    @pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 1)])
+    def test_conv2d_same_for_every_input_layout(self, stride, padding, channels, batched):
+        local = np.random.default_rng([stride, padding, channels, batched])
+        shape = (2, channels, 6, 7) if batched else (channels, 6, 7)
+        x = local.normal(size=shape).astype(np.float32)
+        k = local.normal(size=(4, channels, 3, 3)).astype(np.float32)
+        results = {}
+        for name, xs in _layouts(x).items():
+            assert np.array_equal(xs, x)
+            xt, kt = Tensor(xs, requires_grad=True), Tensor(k, requires_grad=True)
+            out = conv2d(xt, kt, stride=stride, padding=padding)
+            g = np.linspace(-1, 1, out.data.size, dtype=np.float32).reshape(out.shape)
+            backward(T.tensor_sum(T.mul(out, Tensor(g))))
+            assert _channels_last(out.data) and _channels_last(xt.grad)
+            results[name] = (out.data, xt.grad, kt.grad)
+        ref = results.pop("nchw")
+        for got in results.values():
+            for a, b in zip(got, ref):
+                assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_ops_build_channels_last(self, batched):
+        shape = (2, 3, 4, 5) if batched else (3, 4, 5)
+        x = Tensor(rng.normal(size=shape).astype(np.float32), requires_grad=True)
+        k = Tensor(rng.normal(size=(6, 3, 3, 3)).astype(np.float32))
+        b = Tensor(np.zeros(6, np.float32))
+        for upsample in (True, False):
+            out = T.conv_layer(x, k, b, padding=1, activation="lrelu", upsample=upsample)
+            assert _channels_last(out.data)
+            assert out.shape[-2:] == ((8, 10) if upsample else (4, 5))
+        assert _channels_last(T.upsample_nearest(x, 2).data)
+        assert _channels_last(T.concat_channels(x, out).data)
+        k1 = Tensor(rng.normal(size=(2, 3, 1, 1)).astype(np.float32))
+        y = conv2d_1x1(x, k1, Tensor(np.zeros(2, np.float32)))
+        assert _channels_last(y.data)
+        backward(T.tensor_sum(T.mul(T.concat_channels(x, y), T.concat_channels(x, y))))
+        assert _channels_last(x.grad)
+        assert np.array_equal(T.concat_channels(x, y).data[..., :3, :, :], x.data)
+
+    def test_upsample_input_grad_channels_last(self):
+        x = Tensor(rng.normal(size=(3, 4, 5)).astype(np.float32), requires_grad=True)
+        k = Tensor(rng.normal(size=(2, 3, 3, 3)).astype(np.float32))
+        out = T.conv_layer(x, k, Tensor(np.zeros(2, np.float32)), padding=1, upsample=True)
+        backward(T.tensor_sum(out))
+        assert _channels_last(x.grad)
+
+    def test_frozen_kernel_forms_cached(self):
+        k = Tensor(rng.normal(size=(4, 3, 3, 3)).astype(np.float32))
+        assert T._kernel_matrix(k, False) is T._kernel_matrix(k, False)
+        assert T._kernel_matrix(k, True) is T._kernel_matrix(k, True)
+        k.requires_grad = True  # a trainable kernel changes every step: never cached
+        assert T._kernel_matrix(k, False) is not T._kernel_matrix(k, False)
+
+    @pytest.mark.parametrize("refresh", ["adam_step", "assignment"])
+    def test_cached_kernel_forms_refreshed(self, refresh):
+        x = Tensor(rng.normal(size=(3, 6, 6)).astype(np.float32), requires_grad=True)
+        k = Tensor(rng.normal(size=(4, 3, 3, 3)).astype(np.float32))
+        backward(T.tensor_sum(conv2d(x, k, padding=1)))  # fills both cached forms
+        if refresh == "adam_step":
+            k.requires_grad = True
+            adam = make_adam([k], lr=0.1)
+            zero_grads([k])
+            backward(T.tensor_sum(conv2d(x, k, padding=1)))
+            adam_step([k], adam)
+            k.requires_grad = False
+        else:
+            k.data = k.data + np.float32(0.1)
+        x.grad = None
+        out = conv2d(x, k, padding=1)
+        backward(T.tensor_sum(out))
+        fresh_x = Tensor(x.data, requires_grad=True)
+        fresh = conv2d(fresh_x, Tensor(k.data.copy()), padding=1)
+        backward(T.tensor_sum(fresh))
+        assert np.array_equal(out.data, fresh.data)
+        assert np.array_equal(x.grad, fresh_x.grad)
 
 
 class TestBackward:

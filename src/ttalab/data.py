@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -68,10 +68,43 @@ class SyntheticTaskSpec:
 
     @staticmethod
     def from_dict(d: dict) -> "SyntheticTaskSpec":
-        d = dict(d)
-        if "shift" in d and isinstance(d["shift"], dict):
-            d["shift"] = ShiftParams(**d["shift"])
-        return SyntheticTaskSpec(**d)
+        return from_json(SyntheticTaskSpec, d)
+
+
+def from_json(cls, d, where: str = ""):
+    """cls(**d) for a dataclass cls, nested dataclass fields built from dicts.
+
+    Raises ValueError naming the field (dotted below the top level) of an
+    unknown key, or of a value whose JSON type is not its default's.
+    """
+    if not isinstance(d, dict):
+        raise ValueError(f"{where[:-1] or cls.__name__} must be an object, got {d!r}")
+    defaults = {f.name: f.default_factory() if f.default is MISSING else f.default
+                for f in fields(cls)}
+    kwargs = {}
+    for key, value in d.items():
+        if key not in defaults:
+            raise ValueError(f"unknown field {where}{key}")
+        default = defaults[key]
+        if is_dataclass(default):
+            value = from_json(type(default), value, f"{where}{key}.")
+        elif not _json_type_matches(value, default):
+            raise ValueError(f"{where}{key} must be {_JSON_TYPE_NAMES[type(default)]}, "
+                             f"got {value!r}")
+        kwargs[key] = tuple(value) if isinstance(default, tuple) else value
+    return cls(**kwargs)
+
+
+_JSON_TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number",
+                    str: "a string", tuple: "a list of numbers"}
+
+
+def _json_type_matches(value, default) -> bool:
+    """An int passes for a float, and a list of numbers for a tuple."""
+    if isinstance(default, tuple):
+        return isinstance(value, (list, tuple)) and all(_json_type_matches(v, 0.0) for v in value)
+    want = (int, float) if isinstance(default, float) else type(default)
+    return isinstance(value, bool) == isinstance(default, bool) and isinstance(value, want)
 
 
 def _clean_image(size: int, rng: np.random.Generator) -> np.ndarray:
@@ -160,16 +193,16 @@ class Dataset:
         return [(x, y) for _, x, y in self.samples[split]]
 
 
+def _assemble(spec: SyntheticTaskSpec, pair) -> Dataset:
+    """The dataset whose i-th sample of each split is pair(split, i) = (x, y)."""
+    return Dataset(spec=spec, samples={
+        split: [(f"{split}-{i:04d}", *pair(split, i)) for i in range(spec.split_size(split))]
+        for split in SPLITS})
+
+
 def synthesize(spec: SyntheticTaskSpec) -> Dataset:
     """Generate the whole dataset in memory."""
-    samples = {}
-    for split in SPLITS:
-        rows = []
-        for i in range(spec.split_size(split)):
-            x, y = make_pair(spec, split, i)
-            rows.append((f"{split}-{i:04d}", x, y))
-        samples[split] = rows
-    return Dataset(spec=spec, samples=samples)
+    return _assemble(spec, lambda split, i: make_pair(spec, split, i))
 
 
 def _sample_files(split: str, index: int) -> tuple[str, str]:
@@ -210,24 +243,17 @@ def gen_dataset(spec: SyntheticTaskSpec, outdir, dump_pgm: bool = False) -> Data
     return ds
 
 
-def load_dataset(path, verify: bool = True) -> Dataset:
+def load_dataset(path) -> Dataset:
+    """The dataset under path, after its content hash is checked against the index."""
     root = Path(path)
     index = json.loads((root / "index.json").read_text())
     if index.get("version") != _INDEX_VERSION:
         raise ValueError(f"unsupported dataset index version {index.get('version')}")
     spec = SyntheticTaskSpec.from_dict(index["spec"])
-    if verify:
-        actual = dataset_content_hash(root, spec)
-        if actual != index["content_sha256"]:
-            raise ValueError(f"dataset content hash mismatch under {root}")
-    samples = {}
-    for split in SPLITS:
-        rows = []
-        for i in range(spec.split_size(split)):
-            relx, rely = _sample_files(split, i)
-            rows.append((f"{split}-{i:04d}", read_tnsr(root / relx), read_tnsr(root / rely)))
-        samples[split] = rows
-    return Dataset(spec=spec, samples=samples)
+    if dataset_content_hash(root, spec) != index["content_sha256"]:
+        raise ValueError(f"dataset content hash mismatch under {root}")
+    return _assemble(spec, lambda split, i: [read_tnsr(root / rel)
+                                             for rel in _sample_files(split, i)])
 
 
 def write_pgm(path, image: np.ndarray) -> None:

@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import tensor as T
-from .tensor import Tensor
+from .tensor import LrSchedule, Tensor, adam_step, make_adam, zero_grads
 
 
 @dataclass(frozen=True)
@@ -21,11 +21,6 @@ class LayerSpec:
     upsample: bool = False     # nearest-neighbour x2 before the conv
     activation: str = "lrelu"  # lrelu | tanh | linear
     kernel: int = 3
-
-    def to_dict(self) -> dict:
-        return {"in_ch": self.in_ch, "out_ch": self.out_ch, "stride": self.stride,
-                "upsample": self.upsample, "activation": self.activation,
-                "kernel": self.kernel}
 
 
 class ConvLayer:
@@ -64,3 +59,47 @@ def params_checksum(params: list[Tensor]) -> str:
     for p in params:
         h.update(np.ascontiguousarray(p.data, dtype="<f4").tobytes())
     return h.hexdigest()
+
+
+@dataclass
+class TrainReport:
+    epoch_losses: list[float] = field(default_factory=list)
+    lr_by_epoch: list[float] = field(default_factory=list)
+    seed: int = 0
+
+    @property
+    def improved(self) -> bool:
+        return len(self.epoch_losses) > 0 and self.epoch_losses[-1] < self.epoch_losses[0]
+
+
+def train_epochs(params: list[Tensor], columns: list[list[np.ndarray]], batch_loss,
+                 schedule: LrSchedule, seed: int, batch_size: int) -> TrainReport:
+    """Adam over shuffled mini-batches; the task model and every recon member train here.
+
+    columns: per-sample arrays, one list per input of batch_loss, all of one
+    length; batch_loss(*batches) returns the taped scalar loss of one batch.
+    Shuffling is deterministic from (seed, epoch); the Adam lr follows the
+    schedule per epoch. Raises on an empty dataset.
+    """
+    if len(columns[0]) == 0:
+        raise ValueError("empty dataset")
+    set_requires_grad(params, True)
+    adam = make_adam(params, schedule.base_lr)
+    stacked = [np.stack([np.asarray(a, dtype=np.float32) for a in col]) for col in columns]
+    n = len(stacked[0])
+    report = TrainReport(seed=seed)
+    for epoch in range(schedule.total_epochs):
+        adam.lr = schedule.lr(epoch)
+        order = np.random.default_rng((seed, epoch)).permutation(n)
+        losses = []
+        for start in range(0, n, batch_size):
+            idx = order[start:start + batch_size]
+            loss = batch_loss(*(Tensor(data[idx]) for data in stacked))
+            zero_grads(params)
+            T.backward(loss)
+            adam_step(params, adam)
+            losses.append(loss.item())
+        report.epoch_losses.append(float(np.mean(losses)))
+        report.lr_by_epoch.append(adam.lr)
+    set_requires_grad(params, False)
+    return report

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import load_suite, load_task, save_suite, save_task
-from .data import Dataset, SyntheticTaskSpec, gen_dataset, load_dataset
+from .data import Dataset, SyntheticTaskSpec, from_json, gen_dataset, load_dataset
 from .metrics import MetricsReport, SampleMetrics, mae, psnr, ssim, wilcoxon_signed_rank
 from .recon import ReconSuite, train_recon_suite
 from .search import STRATEGY_NAMES, TtaRunner, calibrate_threshold
@@ -102,12 +102,7 @@ class RunConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "RunConfig":
-        d = dict(d)
-        if "data" in d and isinstance(d["data"], dict):
-            d["data"] = SyntheticTaskSpec.from_dict(d["data"])
-        if "loss_weights" in d:
-            d["loss_weights"] = tuple(d["loss_weights"])
-        return RunConfig(**d)
+        return from_json(RunConfig, d)
 
     def with_overrides(self, **kw) -> "RunConfig":
         return replace(self, **kw)
@@ -176,32 +171,35 @@ def open_run_dir(cfg: RunConfig) -> Path:
 # produced it matches: its config slice and the upstream artifact's hash)
 
 
+def _reuse_or_build(record: Path, key: str, wanted: dict, load, build, rebuild: str):
+    """load() when the JSON file record holds `wanted` under key and loads; else build().
+
+    A missing record builds silently. A different record, or one whose
+    artifact does not load (load raises ValueError or FileNotFoundError), is
+    logged with the reason, ending in the word rebuild.
+    """
+    if record.exists():
+        saved = json.loads(record.read_text()).get(key)
+        if saved != wanted:
+            log.info("%s was built from %s, the config asks for %s; %s",
+                     record.parent, saved, wanted, rebuild)
+        else:
+            try:
+                return load()
+            except (ValueError, FileNotFoundError) as err:
+                log.warning("%s does not load (%s); %s", record.parent, err, rebuild)
+    return build()
+
+
 def ensure_dataset(cfg: RunConfig) -> Dataset:
     ddir = Path(cfg.workdir) / "data"
-    if (ddir / "index.json").exists():
-        index = json.loads((ddir / "index.json").read_text())
-        if index.get("spec") == cfg.data.to_dict():
-            try:
-                return load_dataset(ddir, verify=True)
-            except (ValueError, FileNotFoundError) as err:
-                log.warning("dataset under %s does not load (%s); regenerating", ddir, err)
-    return gen_dataset(cfg.data, ddir)
+    return _reuse_or_build(ddir / "index.json", "spec", cfg.data.to_dict(),
+                           lambda: load_dataset(ddir), lambda: gen_dataset(cfg.data, ddir),
+                           "regenerating")
 
 
 def _dataset_sha(cfg: RunConfig) -> str:
     return json.loads((Path(cfg.workdir) / "data" / "index.json").read_text())["content_sha256"]
-
-
-def _reusable(root: Path, provenance: dict) -> bool:
-    """True when the checkpoint under root was saved with this provenance."""
-    if not (root / "manifest.json").exists():
-        return False
-    saved = json.loads((root / "manifest.json").read_text()).get("provenance")
-    if saved != provenance:
-        log.info("%s was built from %s, the config asks for %s; retraining",
-                 root, saved, provenance)
-        return False
-    return True
 
 
 def ensure_task(cfg: RunConfig, dataset: Dataset) -> TaskModel:
@@ -210,37 +208,40 @@ def ensure_task(cfg: RunConfig, dataset: Dataset) -> TaskModel:
                   "schedule": asdict(cfg.task_schedule()), "batch_size": cfg.batch_size,
                   "n_layers": cfg.n_layers, "base_channels": cfg.base_channels,
                   "max_channels": cfg.max_channels, "seed": cfg.seed}
-    if _reusable(tdir, provenance):
-        try:
-            return load_task(tdir)
-        except (ValueError, FileNotFoundError) as err:
-            log.warning("task model under %s does not load (%s); retraining", tdir, err)
-    model = TaskModel(n_layers=cfg.n_layers, io_channels=1, image_size=cfg.data.image_size,
-                      base_channels=cfg.base_channels, max_channels=cfg.max_channels,
-                      seed=cfg.seed)
-    train_task(model, dataset.pairs("train"), cfg.task_schedule(),
-               seed=cfg.seed, batch_size=cfg.batch_size)
-    save_task(model, tdir, provenance=provenance)
-    return model
+
+    def build():
+        model = TaskModel(n_layers=cfg.n_layers, io_channels=1, image_size=cfg.data.image_size,
+                          base_channels=cfg.base_channels, max_channels=cfg.max_channels,
+                          seed=cfg.seed)
+        train_task(model, dataset.pairs("train"), cfg.task_schedule(),
+                   seed=cfg.seed, batch_size=cfg.batch_size)
+        save_task(model, tdir, provenance=provenance)
+        return model
+
+    return _reuse_or_build(tdir / "manifest.json", "provenance", provenance,
+                           lambda: load_task(tdir), build, "retraining")
 
 
 def ensure_suite(cfg: RunConfig, task: TaskModel, dataset: Dataset) -> ReconSuite:
     sdir = Path(cfg.workdir) / "recon"
     provenance = {"task_checksum": task.checksum(),
                   "schedule": asdict(cfg.recon_schedule()), "batch_size": cfg.batch_size}
-    if _reusable(sdir, provenance):
-        try:
-            suite = load_suite(sdir, task)
-            if suite.all_trained():
-                return suite
-            log.info("suite under %s is not fully trained; retraining", sdir)
-        except (ValueError, FileNotFoundError) as err:
-            log.warning("suite under %s does not load (%s); retraining", sdir, err)
-    suite = ReconSuite(task, seed=cfg.seed)
-    train_recon_suite(suite, task, dataset.pairs("train"), cfg.recon_schedule(),
-                      seed=cfg.seed, batch_size=cfg.batch_size)
-    save_suite(suite, sdir, provenance=provenance)
-    return suite
+
+    def load():
+        suite = load_suite(sdir, task)
+        if not suite.all_trained():
+            raise ValueError("not fully trained")
+        return suite
+
+    def build():
+        suite = ReconSuite(task, seed=cfg.seed)
+        train_recon_suite(suite, task, dataset.pairs("train"), cfg.recon_schedule(),
+                          seed=cfg.seed, batch_size=cfg.batch_size)
+        save_suite(suite, sdir, provenance=provenance)
+        return suite
+
+    return _reuse_or_build(sdir / "manifest.json", "provenance", provenance, load, build,
+                           "retraining")
 
 
 def calibration_errors(task: TaskModel, suite: ReconSuite, dataset: Dataset,

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .layers import ConvLayer, LayerSpec, params_checksum, set_requires_grad
-from .tasknet import FeatureTrace, TaskModel, TrainReport, _iter_batches, translate
-from .tensor import LrSchedule, Tensor, adam_step, make_adam, zero_grads
+from .layers import ConvLayer, LayerSpec, TrainReport, params_checksum, train_epochs
+from .tasknet import FeatureTrace, TaskModel, translate
+from .tensor import LrSchedule, Tensor
 
 
 class Autoencoder:
@@ -49,9 +49,6 @@ class Autoencoder:
         for layer in self.layers:
             h = layer.forward(h)
         return h
-
-    def config_dict(self) -> dict:
-        return {"in_shape": list(self.in_shape)}
 
 
 @dataclass
@@ -125,28 +122,8 @@ def _member_seed(seed: int, index: int) -> int:
 def train_autoencoder(ae: Autoencoder, tensors: list[np.ndarray], schedule: LrSchedule,
                       seed: int = 0, batch_size: int = 8) -> TrainReport:
     """Train one member on its own level's tensors with an MSE objective."""
-    if len(tensors) == 0:
-        raise ValueError("empty dataset")
-    params = ae.params()
-    set_requires_grad(params, True)
-    adam = make_adam(params, schedule.base_lr)
-    data = np.stack([np.asarray(t, dtype=np.float32) for t in tensors])
-    report = TrainReport(seed=seed)
-    for epoch in range(schedule.total_epochs):
-        adam.lr = schedule.lr(epoch)
-        rng = np.random.default_rng((seed, epoch))
-        losses = []
-        for idx in _iter_batches(len(tensors), batch_size, rng):
-            xb = Tensor(data[idx])
-            loss = T.mse_loss(ae.forward(xb), xb)
-            zero_grads(params)
-            T.backward(loss)
-            adam_step(params, adam)
-            losses.append(loss.item())
-        report.epoch_losses.append(float(np.mean(losses)))
-        report.lr_by_epoch.append(adam.lr)
-    set_requires_grad(params, False)
-    return report
+    return train_epochs(ae.params(), [tensors], lambda xb: T.mse_loss(ae.forward(xb), xb),
+                        schedule, seed, batch_size)
 
 
 def collect_level_tensors(task: TaskModel, dataset) -> dict:
@@ -179,8 +156,6 @@ def train_recon_suite(suite: ReconSuite, task: TaskModel, dataset, schedule: LrS
     """
     if task.trained_epochs == 0:
         raise ValueError("task model is untrained; train it before the suite")
-    if len(dataset) == 0:
-        raise ValueError("empty dataset")
     level_data = collect_level_tensors(task, dataset)
     reports = {}
     for key in suite.member_keys():

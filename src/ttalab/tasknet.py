@@ -11,13 +11,13 @@ the final conv is zero-initialised, so an untrained model maps everything to 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
-from .layers import ConvLayer, LayerSpec, params_checksum, set_requires_grad
-from .tensor import LrSchedule, Tensor, adam_step, make_adam, zero_grads
+from .layers import ConvLayer, LayerSpec, TrainReport, params_checksum, train_epochs
+from .tensor import LrSchedule, Tensor
 
 
 def default_layer_plan(n_layers: int = 7, io_channels: int = 1,
@@ -115,55 +115,15 @@ def translate(model: TaskModel, x: Tensor) -> FeatureTrace:
     return model.forward_trace(x)
 
 
-@dataclass
-class TrainReport:
-    epoch_losses: list[float] = field(default_factory=list)
-    lr_by_epoch: list[float] = field(default_factory=list)
-    seed: int = 0
-
-    @property
-    def improved(self) -> bool:
-        return len(self.epoch_losses) > 0 and self.epoch_losses[-1] < self.epoch_losses[0]
-
-
-def _iter_batches(n: int, batch_size: int, rng: np.random.Generator):
-    order = rng.permutation(n)
-    for start in range(0, n, batch_size):
-        yield order[start:start + batch_size]
-
-
 def train_task(model: TaskModel, dataset, schedule: LrSchedule, seed: int = 0,
                batch_size: int = 8) -> TrainReport:
     """Supervised training of the task model with a per-pixel L1 objective.
 
-    dataset: sequence of (x, y) float32 arrays shaped [C,H,W].
-    Shuffling is deterministic from the seed; the Adam lr follows the schedule
-    per epoch. Raises on an empty dataset.
+    dataset: sequence of (x, y) float32 arrays shaped [C,H,W]; the epochs run
+    in layers.train_epochs. Raises on an empty dataset.
     """
-    if len(dataset) == 0:
-        raise ValueError("empty dataset")
-    params = model.params()
-    set_requires_grad(params, True)
-    adam = make_adam(params, schedule.base_lr)
-    xs = np.stack([np.asarray(x, dtype=np.float32) for x, _ in dataset])
-    ys = np.stack([np.asarray(y, dtype=np.float32) for _, y in dataset])
-    report = TrainReport(seed=seed)
-    for epoch in range(schedule.total_epochs):
-        adam.lr = schedule.lr(epoch)
-        rng = np.random.default_rng((seed, epoch))
-        losses = []
-        for idx in _iter_batches(len(dataset), batch_size, rng):
-            xb = Tensor(xs[idx])
-            yb = Tensor(ys[idx])
-            trace = model.forward_trace(xb)
-            loss = T.l1_distance(trace.output, yb)
-            zero_grads(params)
-            T.backward(loss)
-            adam_step(params, adam)
-            losses.append(loss.item())
-        report.epoch_losses.append(float(np.mean(losses)))
-        report.lr_by_epoch.append(adam.lr)
-    set_requires_grad(params, False)
+    report = train_epochs(model.params(), [[x for x, _ in dataset], [y for _, y in dataset]],
+                          lambda xb, yb: T.l1_distance(model.forward_trace(xb).output, yb),
+                          schedule, seed, batch_size)
     model.trained_epochs += schedule.total_epochs
     return report
-

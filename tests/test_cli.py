@@ -171,6 +171,8 @@ def test_retrain_reason_logged_to_stderr(tmp_path, capsys):
     ("tpe_start", 21), ("tpe_gamma", 2.0), ("tpe_candidates", 0), ("n_layers", 4),
     ("base_channels", 0), ("seed", -1), ("adaptor_lr", -1.0), ("task_lr", 0.0),
     ("recon_hold", -1), ("percentile", 100.0), ("strategy", "anneal"), ("psnr_max", "peak"),
+    ("stepz", 3), ("data", {"shift": {"noise_mul": 3}}), ("loss_weights", 1.0), ("steps", "5"),
+    ("steps", 2.5), ("n_layers", 7.0),
 ])
 def test_invalid_config_rejected_before_any_work(cli_workspace, tmp_path, capsys, field, value):
     _, cfg = cli_workspace

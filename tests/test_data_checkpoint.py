@@ -206,10 +206,27 @@ class TestCheckpoints:
             load_suite(tmp_path / "suite", other)
 
     def test_version_gate(self, tmp_path, small_stack):
-        _, task, _ = small_stack
+        _, task, suite = small_stack
         save_task(task, tmp_path / "task")
-        manifest = json.loads((tmp_path / "task" / "manifest.json").read_text())
-        manifest["version"] = 99
-        (tmp_path / "task" / "manifest.json").write_text(json.dumps(manifest))
+        save_suite(suite, tmp_path / "suite")
+        for name in ("task", "suite"):
+            manifest = json.loads((tmp_path / name / "manifest.json").read_text())
+            manifest["version"] = 99
+            (tmp_path / name / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(ValueError, match="version"):
             load_task(tmp_path / "task")
+        with pytest.raises(ValueError, match="version"):
+            load_suite(tmp_path / "suite", task)
+
+    def test_one_manifest_lists_every_blob(self, tmp_path, small_stack):
+        _, task, suite = small_stack
+        save_task(task, tmp_path / "task")
+        save_suite(suite, tmp_path / "suite")
+        for name in ("task", "suite"):
+            root = tmp_path / name
+            assert [p.relative_to(root) for p in root.rglob("manifest.json")] == \
+                [Path("manifest.json")]
+            manifest = json.loads((root / "manifest.json").read_text())
+            assert sorted(e["file"] for e in manifest["params"]) == \
+                sorted(str(p.relative_to(root)) for p in root.rglob("*.tnsr"))
+        assert (tmp_path / "suite" / "member_y" / "layer3.bias.tnsr").exists()

@@ -483,3 +483,30 @@ class TestArtifactReuse:
         assert P._dataset_sha(cfg) == sha and sample.read_bytes() == clean
         for (x0, y0), (x1, y1) in zip(first.pairs("train"), second.pairs("train")):
             assert np.array_equal(x0, x1) and np.array_equal(y0, y1)
+
+    def test_changed_data_spec_logged_and_regenerated(self, tmp_path, caplog):
+        P.ensure_dataset(self.config(tmp_path))
+        with caplog.at_level(logging.INFO, logger=P.__name__):
+            P.ensure_dataset(self.config(tmp_path, noise_sigma=0.3))
+        assert "regenerating" in caplog.text and "'noise_sigma': 0.3" in caplog.text
+        assert P.load_dataset(tmp_path / "data").spec.noise_sigma == 0.3
+
+    def test_version_1_checkpoints_retrained_once(self, tmp_path, counted, caplog):
+        cfg = self.config(tmp_path)
+        first = self.build(cfg)
+        for name in ("task", "recon"):
+            path = tmp_path / name / "manifest.json"
+            manifest = json.loads(path.read_text())
+            manifest["version"] = 1
+            if name == "recon":  # version 1 listed a member's blobs in its own manifest
+                del manifest["params"], manifest["trained"]
+                (path.parent / "member_x" / "manifest.json").write_text("{}")
+            path.write_text(json.dumps(manifest))
+        with caplog.at_level(logging.WARNING, logger=P.__name__):
+            second = self.build(cfg)
+        assert "retraining" in caplog.text and "version 1" in caplog.text
+        assert counted == {"task": 2, "suite": 2}
+        assert self.build(cfg) == second == first
+        assert counted == {"task": 2, "suite": 2}
+        recon = tmp_path / "recon"
+        assert list(recon.rglob("manifest.json")) == [recon / "manifest.json"]

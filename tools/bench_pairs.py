@@ -16,6 +16,11 @@ seed and end-to-end metric of BENCHMARK.json: both medians, the parent's
 quartiles (statistics.quantiles with n=4), the change/parent ratio of the
 medians, and the number of pairs in which the change was better. Per
 workload it also counts each side's incorrect runs and failed samples.
+
+The record is written after every pair, so a run that fails loses none of the
+pairs before it: the record then names the failed run (side, workload, seed,
+pair index, exit code, the tail of its stderr) under "failed", and the tool
+exits with status 1.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 PAIRS = 10
+STDERR_TAIL_LINES = 40
 
 
 def export(rev: str, into: Path) -> Path:
@@ -45,12 +51,14 @@ def export(rev: str, into: Path) -> Path:
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    """The run's info and result lines, or, if it failed, its exit code and stderr tail."""
     cmd = [sys.executable, "ttabench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or len(lines) < 2:
-        raise RuntimeError(f"{checkout}: {workload} failed ({proc.returncode}):\n{proc.stderr}")
+        return {"exit_code": proc.returncode,
+                "stderr_tail": proc.stderr.splitlines()[-STDERR_TAIL_LINES:]}
     return {"info": json.loads(lines[-2])["info"], "result": json.loads(lines[-1])}
 
 
@@ -86,26 +94,40 @@ def main() -> int:
                  "change": export(args.change, scratch / "change")}
         record = {"parent": args.parent, "change": args.change, "seconds": seconds,
                   "pairs": PAIRS, "results": []}
+
+        def save() -> None:
+            Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
+
         for spec in args.workloads:
             workload, _, seed = spec.partition("@")
             seed = int(seed or 0)
             runs = []
+            entry = {"workload": workload, "seed": seed, "runs": runs}
+            record["results"].append(entry)
             for i in range(PAIRS):
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-                pair = {side: run_once(sides[side], workload, seed, seconds)
-                        for side in order}
+                pair = {}
+                for side in order:
+                    pair[side] = run_once(sides[side], workload, seed, seconds)
+                    if "result" not in pair[side]:
+                        record["failed"] = {"side": side, "workload": workload, "seed": seed,
+                                            "pair": i, **pair[side]}
+                        save()
+                        print(f"{workload}@{seed} pair {i + 1}/{PAIRS}: {side} failed "
+                              f"({pair[side]['exit_code']}); see {args.out}", file=sys.stderr)
+                        return 1
                 runs.append(pair)
+                save()
                 print(f"{workload}@{seed} pair {i + 1}/{PAIRS}: " + ", ".join(
                     f"{side} {pair[side]['result']['metrics']['samples_per_s']['value']:.3f}"
                     for side in ("parent", "change")), file=sys.stderr, flush=True)
-            checks = {side: {"incorrect_runs": sum(not r[side]["result"]["correct"] for r in runs),
-                             "failed": sum(r[side]["result"]["failed"] for r in runs),
-                             "attempted": sum(r[side]["result"]["attempted"] for r in runs)}
-                      for side in ("parent", "change")}
-            record["results"].append({"workload": workload, "seed": seed,
-                                      "summary": summarise(runs, metrics), "checks": checks,
-                                      "runs": runs})
-        Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
+            entry["summary"] = summarise(runs, metrics)
+            entry["checks"] = {
+                side: {"incorrect_runs": sum(not r[side]["result"]["correct"] for r in runs),
+                       "failed": sum(r[side]["result"]["failed"] for r in runs),
+                       "attempted": sum(r[side]["result"]["attempted"] for r in runs)}
+                for side in ("parent", "change")}
+            save()
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
     return 0

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .tensor import read_tnsr, write_tnsr
+from .tensor import parse_tnsr, tnsr_bytes
 
 SPLITS = ("train", "calib", "id_test", "ood_test")
 _SPLIT_CODES = {name: i for i, name in enumerate(SPLITS)}
@@ -209,27 +209,28 @@ def _sample_files(split: str, index: int) -> tuple[str, str]:
     return f"{split}/{index:04d}.x.tnsr", f"{split}/{index:04d}.y.tnsr"
 
 
-def dataset_content_hash(root: Path, spec: SyntheticTaskSpec) -> str:
-    h = hashlib.sha256()
-    for split in SPLITS:
-        for i in range(spec.split_size(split)):
-            for rel in _sample_files(split, i):
-                h.update(rel.encode())
-                h.update((root / rel).read_bytes())
-    return h.hexdigest()
+def _hashed(h, rel: str, blob: bytes) -> bytes:
+    """blob, after feeding rel and blob to the content hash h."""
+    h.update(rel.encode())
+    h.update(blob)
+    return blob
 
 
 def gen_dataset(spec: SyntheticTaskSpec, outdir, dump_pgm: bool = False) -> Dataset:
-    """Write TNSR pairs plus a JSON index under outdir; returns the dataset."""
+    """Write TNSR pairs plus a JSON index under outdir; returns the dataset.
+
+    The index's content_sha256 hashes each file's relative path and bytes,
+    in split, index, x-then-y order, as they are written.
+    """
     root = Path(outdir)
     root.mkdir(parents=True, exist_ok=True)
     ds = synthesize(spec)
+    h = hashlib.sha256()
     for split in SPLITS:
         (root / split).mkdir(exist_ok=True)
         for i, (sid, x, y) in enumerate(ds.samples[split]):
-            relx, rely = _sample_files(split, i)
-            write_tnsr(root / relx, x)
-            write_tnsr(root / rely, y)
+            for rel, arr in zip(_sample_files(split, i), (x, y)):
+                (root / rel).write_bytes(_hashed(h, rel, tnsr_bytes(arr)))
             if dump_pgm:
                 write_pgm(root / f"{split}/{i:04d}.x.pgm", x[0])
                 write_pgm(root / f"{split}/{i:04d}.y.pgm", y[0])
@@ -237,23 +238,29 @@ def gen_dataset(spec: SyntheticTaskSpec, outdir, dump_pgm: bool = False) -> Data
         "version": _INDEX_VERSION,
         "spec": spec.to_dict(),
         "splits": {s: spec.split_size(s) for s in SPLITS},
-        "content_sha256": dataset_content_hash(root, spec),
+        "content_sha256": h.hexdigest(),
     }
     (root / "index.json").write_text(json.dumps(index, indent=2))
     return ds
 
 
 def load_dataset(path) -> Dataset:
-    """The dataset under path, after its content hash is checked against the index."""
+    """The dataset under path, after its content hash is checked against the index.
+
+    Each file is read once, and hashed and parsed from that one read.
+    """
     root = Path(path)
     index = json.loads((root / "index.json").read_text())
     if index.get("version") != _INDEX_VERSION:
         raise ValueError(f"unsupported dataset index version {index.get('version')}")
     spec = SyntheticTaskSpec.from_dict(index["spec"])
-    if dataset_content_hash(root, spec) != index["content_sha256"]:
+    h = hashlib.sha256()
+    ds = _assemble(spec, lambda split, i: [
+        parse_tnsr(_hashed(h, rel, (root / rel).read_bytes()), root / rel)
+        for rel in _sample_files(split, i)])
+    if h.hexdigest() != index["content_sha256"]:
         raise ValueError(f"dataset content hash mismatch under {root}")
-    return _assemble(spec, lambda split, i: [read_tnsr(root / rel)
-                                             for rel in _sample_files(split, i)])
+    return ds
 
 
 def write_pgm(path, image: np.ndarray) -> None:

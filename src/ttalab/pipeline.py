@@ -297,8 +297,10 @@ def run_tta(cfg: RunConfig, task: TaskModel, suite: ReconSuite, dataset: Dataset
         sink = [] if trace_dir is not None else None
         outcome = runner.run_sample(x, cfg.strategy, tau,
                                     sample_index=sample_index, trace_sink=sink)
-        mae_b, psnr_b, ssim_b = _image_metrics(outcome.base_output, y, cfg.psnr_max)
-        mae_t, psnr_t, ssim_t = _image_metrics(outcome.output, y, cfg.psnr_max)
+        mae_b, psnr_b, ssim_b = base = _image_metrics(outcome.base_output, y, cfg.psnr_max)
+        # the gate's own output (untriggered, or every configuration failed) scores as base
+        mae_t, psnr_t, ssim_t = (base if outcome.output is outcome.base_output
+                                 else _image_metrics(outcome.output, y, cfg.psnr_max))
         rows.append({
             "sample_id": sid, "split": split,
             "triggered": outcome.triggered,

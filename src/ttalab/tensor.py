@@ -19,9 +19,20 @@ channels-last from layer to layer. The conv core gathers its im2col windows
 from that view, so each copied run is kernel-width x channels floats, and the
 GEMM result [B*Ho*Wo, C_out] is already the output's memory. Any layout is
 accepted as input; one that is not channels-last costs a copy at the next
-convolution. The GEMM forms of a frozen (requires_grad=False) conv kernel are
-cached on its Tensor; adam_step and assigning a new .data array invalidate
-them, so a frozen kernel must not be written in place otherwise.
+convolution.
+
+Backward: a stride-s conv's input gradient is one sub-pixel correlation (Shi
+et al., arXiv:1609.07009) of the undilated output gradient with an s*s-phase
+kernel matrix, followed by a depth-to-space copy; at s = 1 it is the padded
+correlation with the flipped kernel. An upsample layer takes its input and
+kernel gradients from one stride-2 correlation of the output gradient's 2x2
+box sums on the coarse grid. Only a trainable kernel of a layer without
+upsample keeps its forward im2col matrix for the backward.
+
+The GEMM matrices of a frozen (requires_grad=False) conv kernel, the forward
+form and the sub-pixel form per stride, are cached on its Tensor; adam_step
+and assigning a new .data array invalidate them, so a frozen kernel must not
+be written in place otherwise. A trainable kernel's are rebuilt on each use.
 """
 
 from __future__ import annotations
@@ -75,7 +86,7 @@ class Tensor:
         self.grad: np.ndarray | None = None
         self._parents: tuple[Tensor, ...] = ()
         self._backward = None
-        self._gemm = None  # (data it was built from, [forward, flipped] GEMM forms)
+        self._gemm = None  # (data it was built from, {stride: GEMM form}), see _kernel_matrix
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -330,25 +341,72 @@ def _correlate(xp: np.ndarray, kmat: np.ndarray, kh: int, kw: int,
     return _nchw(out), cols
 
 
-def _gemm_form(kernel: np.ndarray, flipped: bool) -> np.ndarray:
-    """[kh*kw*C_in, C_out] matrix of a [C_out,C_in,kh,kw] kernel, or with flipped,
-    [kh*kw*C_out, C_in] of the spatially flipped, channel-transposed kernel."""
+def _gemm_form(kernel: np.ndarray, stride: int) -> np.ndarray:
+    """GEMM matrix of a [C_out,C_in,kh,kw] kernel: with stride 0 the forward
+    [kh*kw*C_in, C_out]; with stride s >= 1 the sub-pixel form of the stride-s
+    input gradient, [T_h*T_w*C_out, s*s*C_in] with T = ceil(k/s).
+
+    Column (ph, pw, c) of the sub-pixel form holds the taps of input phase
+    (ph, pw), spatially flipped: row (t, u, o) is kernel[o, c, s*(T_h-1-t)+ph,
+    s*(T_w-1-u)+pw], zero past the kernel's edge. At s = 1 it is the flipped,
+    channel-transposed kernel, [kh*kw*C_out, C_in].
+    """
     cout, cin, kh, kw = kernel.shape
-    if flipped:
-        return kernel[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(kh * kw * cout, cin)
-    return kernel.transpose(2, 3, 1, 0).reshape(kh * kw * cin, cout)
+    s = int(stride)
+    if not s:
+        return kernel.transpose(2, 3, 1, 0).reshape(kh * kw * cin, cout)
+    th, tw = -(-kh // s), -(-kw // s)
+    kp = kernel.transpose(2, 3, 0, 1)
+    if kp.shape[:2] != (th * s, tw * s):  # zero taps past the kernel's edge
+        kp = np.zeros((th * s, tw * s, cout, cin), dtype=np.float32)
+        kp[:kh, :kw] = kernel.transpose(2, 3, 0, 1)
+    taps = kp.reshape(th, s, tw, s, cout, cin)[::-1, :, ::-1]
+    return taps.transpose(0, 2, 4, 1, 3, 5).reshape(th * tw * cout, s * s * cin)
 
 
-def _kernel_matrix(kernel: Tensor, flipped: bool) -> np.ndarray:
-    """_gemm_form of kernel.data, cached while the kernel is frozen."""
+def _kernel_matrix(kernel: Tensor, stride: int) -> np.ndarray:
+    """_gemm_form of kernel.data, cached per stride while the kernel is frozen."""
     if kernel.requires_grad:
-        return _gemm_form(kernel.data, flipped)
+        return _gemm_form(kernel.data, stride)
     if kernel._gemm is None or kernel._gemm[0] is not kernel.data:
-        kernel._gemm = (kernel.data, [None, None])
+        kernel._gemm = (kernel.data, {})
     forms = kernel._gemm[1]
-    if forms[flipped] is None:
-        forms[flipped] = _gemm_form(kernel.data, flipped)
-    return forms[flipped]
+    if stride not in forms:
+        forms[stride] = _gemm_form(kernel.data, stride)
+    return forms[stride]
+
+
+def _subpixel_input_grad(g4: np.ndarray, kernel: Tensor, stride: int, padding: int,
+                         h: int, w: int) -> np.ndarray:
+    """Gradient of the [B,C_in,h,w] input of a stride-s conv, as one sub-pixel
+    correlation (Shi et al., arXiv:1609.07009).
+
+    Padded input row s*q+ph takes g[q-t] * kernel[s*t+ph] over t, so the
+    undilated output gradient [B,C_out,Ho,Wo], zero-padded by T-1 before,
+    correlated over a T_h x T_w window with the sub-pixel kernel matrix gives
+    every phase of the padded input grid at once; a depth-to-space copy
+    interleaves them. Only the phase rows q = floor(p/s) .. ceil((p+h)/s)-1,
+    which cover the unpadded input, are computed. At s = 1 this is the padded
+    correlation with the flipped kernel, and the result is the GEMM's memory.
+    """
+    b, cout, ho, wo = g4.shape
+    kh, kw = kernel.data.shape[2:]
+    s = stride
+    th, tw = -(-kh // s), -(-kw // s)
+    q0 = padding // s
+    qh = -(-(padding + h) // s) - q0
+    qw = -(-(padding + w) // s) - q0
+    # buffer row j holds g row j - top; top >= 0 because padding < kernel size
+    top, left = th - 1 - q0, tw - 1 - q0
+    gz = np.zeros((b, qh + th - 1, qw + tw - 1, cout), dtype=np.float32)
+    rows, cols = min(ho, qh + q0), min(wo, qw + q0)
+    gz[:, top:top + rows, left:left + cols] = _nhwc(g4)[:, :rows, :cols]
+    phases, _ = _correlate(_nchw(gz), _kernel_matrix(kernel, s), th, tw, 1)
+    cin = kernel.data.shape[1]
+    dxp = _nhwc(phases).reshape(b, qh, qw, s, s, cin).transpose(0, 1, 3, 2, 4, 5)
+    dxp = dxp.reshape(b, qh * s, qw * s, cin)  # depth to space: a view at s = 1
+    off = padding - s * q0
+    return _nchw(dxp[:, off:off + h, off:off + w])
 
 
 def _dilated_grad(g4: np.ndarray, kh: int, kw: int, stride: int, padding: int,
@@ -365,30 +423,40 @@ def _dilated_grad(g4: np.ndarray, kh: int, kw: int, stride: int, padding: int,
     return _nchw(gz)
 
 
-def _upsampled_conv_input_grad(g4: np.ndarray, kernel: Tensor, stride: int,
-                               padding: int, h: int, w: int) -> np.ndarray:
-    """Gradient of conv2d(upsample_x2(x)) with respect to the [B,C,h,w] input x.
+def _upsampled_conv_grads(g4: np.ndarray, x4: np.ndarray, kernel: Tensor, stride: int,
+                          padding: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gradients of conv2d(upsample_x2(x)) with respect to the [B,C,h,w] input x
+    and the kernel, from one stride-2 correlation on the coarse grid.
 
-    dx[i] = dup[2i] + dup[2i+1] = sum_e kflip[e] * (gz[2i+e] + gz[2i+1+e]) per
-    axis, so the 2x2 box sums of the dilated gradient, correlated with the
-    flipped kernel at stride 2, give dx on the coarse grid directly: a quarter
-    of the work of the full-resolution gradient followed by its 2x2 sum.
+    With gz the dilated output gradient, dx[i] = dup[2i] + dup[2i+1] =
+    sum_e kflip[e] * (gz[2i+e] + gz[2i+1+e]) per axis, so the 2x2 box sums of
+    gz, correlated with the flipped kernel at stride 2, give dx directly: a
+    quarter of the work of the full-resolution gradient followed by its 2x2
+    sum. The same im2col gives the kernel gradient: box[2q+e'] pairs with
+    x[q] for tap k-1-e', so cols_box.T @ x is the gradient of the flipped
+    form, again a quarter of the fine-grid multiply-adds.
     """
-    kh, kw = kernel.data.shape[2:]
+    b, cin, h, w = x4.shape
+    cout, _, kh, kw = kernel.data.shape
     gz = _dilated_grad(g4, kh, kw, stride, padding, 2 * h, 2 * w)
     rows = gz[:, :, :-1] + gz[:, :, 1:]
     box = rows[..., :-1] + rows[..., 1:]
-    dx, _ = _correlate(box, _kernel_matrix(kernel, True), kh, kw, 2)
-    return dx
+    dx, cols = _correlate(box, _kernel_matrix(kernel, 1), kh, kw, 2)
+    dk = None
+    if kernel.requires_grad:
+        dk_flipped = cols.T @ _nhwc(x4).reshape(b * h * w, cin)
+        dk = dk_flipped.reshape(kh, kw, cout, cin)[::-1, ::-1].transpose(2, 3, 0, 1)
+    return dx, dk
 
 
 def conv2d(input: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """Cross-correlation of [C_in,H,W] (or batched) input with [C_out,C_in,kH,kW] kernel.
 
-    The input gradient is itself one valid correlation: the output gradient,
-    dilated by the stride and zero-padded by kH-1-padding, against the
-    spatially flipped, channel-transposed kernel. Only a trainable kernel
-    keeps the forward im2col matrix for its own gradient.
+    The input gradient is one sub-pixel correlation of the undilated output
+    gradient with the stride-s phase kernel matrix (_subpixel_input_grad),
+    which at stride 1 is the padded correlation with the flipped kernel. A
+    frozen kernel caches its forward and sub-pixel matrices; only a trainable
+    kernel keeps the forward im2col matrix, for its own gradient.
     """
     x4, squeeze = _as_batched(input.data)
     if kernel.data.ndim != 4:
@@ -412,7 +480,7 @@ def conv2d(input: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> 
         xp = _nchw(xp)
     else:
         xp = x4
-    out, cols = _correlate(xp, _kernel_matrix(kernel, False), kh, kw, stride)
+    out, cols = _correlate(xp, _kernel_matrix(kernel, 0), kh, kw, stride)
     if squeeze:
         out = out[0]
     if not kernel.requires_grad:
@@ -426,8 +494,7 @@ def conv2d(input: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> 
             dk = (g2.T @ cols).reshape(cout, kh, kw, cin)
             kernel._accumulate(dk.transpose(0, 3, 1, 2))
         if input.requires_grad:
-            gz = _dilated_grad(g4, kh, kw, stride, padding, h, w)
-            dx, _ = _correlate(gz, _kernel_matrix(kernel, True), kh, kw, 1)
+            dx = _subpixel_input_grad(g4, kernel, stride, padding, h, w)
             input._accumulate(dx[0] if squeeze else dx)
 
     return _from_op(out, (input, kernel), bwd, "conv2d")
@@ -449,15 +516,21 @@ def conv_layer(input: Tensor, weight: Tensor, bias: Tensor, stride: int = 1,
     bias and activation are applied in place on the conv output. The
     backward applies the activation mask, sums the bias gradient and runs the
     conv node's own backward. With upsample, the conv sees the upsampled
-    array as a constant, so its node yields at most the kernel gradient, and
-    the input gradient is computed on the coarse grid of the input.
+    array and the kernel as constants, so its node keeps no im2col and has
+    no backward: both the input and the kernel gradient come from one
+    stride-2 correlation on the coarse grid of the input
+    (_upsampled_conv_grads).
     """
     if activation not in _ACTIVATIONS:
         raise ValueError(f"unknown activation {activation!r}")
     if bias.data.shape != (weight.data.shape[0],):
         raise ValueError(f"bias must be [{weight.data.shape[0]}], got {bias.data.shape}")
-    x = Tensor(_upsample(input.data, 2)) if upsample else input
-    conv = conv2d(x, weight, stride=stride, padding=padding)
+    if upsample:
+        # a frozen weight is a constant already, and keeps its cached forms
+        kernel = Tensor(weight.data) if weight.requires_grad else weight
+        conv = conv2d(Tensor(_upsample(input.data, 2)), kernel, stride=stride, padding=padding)
+    else:
+        conv = conv2d(input, weight, stride=stride, padding=padding)
     z = conv.data
     zh = _nhwc(z)  # the conv's own memory: bias and activation run on it in place
     zh += bias.data
@@ -483,11 +556,14 @@ def conv_layer(input: Tensor, weight: Tensor, bias: Tensor, stride: int = 1,
             conv.grad = g
             conv._backward(conv)
             conv.grad = None
-        if upsample and input.requires_grad:
+        if upsample and (input.requires_grad or weight.requires_grad):
             g4, squeeze = _as_batched(g)
-            h, w = input.data.shape[-2:]
-            dx = _upsampled_conv_input_grad(g4, weight, stride, padding, h, w)
-            input._accumulate(dx[0] if squeeze else dx)
+            x4, _ = _as_batched(input.data)
+            dx, dk = _upsampled_conv_grads(g4, x4, weight, stride, padding)
+            if dk is not None:
+                weight._accumulate(dk)
+            if input.requires_grad:
+                input._accumulate(dx[0] if squeeze else dx)
 
     return _from_op(z, (input, weight, bias), bwd, "conv_layer")
 
@@ -639,7 +715,12 @@ def make_adam(params: list[Tensor], lr: float, beta1: float = 0.9,
 
 
 def adam_step(params: list[Tensor], state: AdamState) -> None:
-    """One Adam update with bias correction; reads each param's .grad."""
+    """One Adam update with bias correction; reads each param's .grad.
+
+    The moment buffers and the parameter are updated in place, with the
+    float32 operations of m = b1*m + (1-b1)*g and p -= lr*m_hat/(sqrt(v_hat)+eps)
+    in that order.
+    """
     if len(state.m) != len(params):
         raise ValueError("AdamState not bound to this parameter list")
     state.step_count += 1
@@ -652,12 +733,16 @@ def adam_step(params: list[Tensor], state: AdamState) -> None:
             raise ValueError("missing grad for parameter in adam_step")
         if p.grad.shape != p.data.shape:
             raise ValueError("grad/param shape mismatch in adam_step")
-        state.m[i] = b1 * state.m[i] + (1.0 - b1) * p.grad
-        state.v[i] = b2 * state.v[i] + (1.0 - b2) * np.square(p.grad)
-        m_hat = state.m[i] / bc1
-        v_hat = state.v[i] / bc2
+        m, v = state.m[i], state.v[i]
+        m *= b1
+        m += (1.0 - b1) * p.grad
+        v *= b2
+        v += (1.0 - b2) * np.square(p.grad)
+        u = m / bc1
+        u *= state.lr
+        u /= np.sqrt(v / bc2) + state.eps
         p._gemm = None  # the in-place update below would leave it stale
-        p.data -= (state.lr * m_hat / (np.sqrt(v_hat) + state.eps)).astype(np.float32)
+        p.data -= u
         _check_finite(p.data, "adam_step")
 
 
@@ -696,20 +781,27 @@ _TNSR_MAGIC = b"TNSR"
 _TNSR_VERSION = 1
 
 
-def write_tnsr(path, array: np.ndarray) -> None:
+def tnsr_bytes(array: np.ndarray) -> bytes:
+    """The TNSR file contents of array."""
     arr = np.asarray(array, dtype="<f4")  # tobytes() serialises row-major regardless
     if arr.ndim > 255:
         raise ValueError("rank too large for TNSR")
+    return (_TNSR_MAGIC + struct.pack("<BB", _TNSR_VERSION, arr.ndim)
+            + struct.pack(f"<{arr.ndim}I", *arr.shape) + arr.tobytes())
+
+
+def write_tnsr(path, array: np.ndarray) -> None:
     with open(path, "wb") as f:
-        f.write(_TNSR_MAGIC)
-        f.write(struct.pack("<BB", _TNSR_VERSION, arr.ndim))
-        f.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        f.write(arr.tobytes())
+        f.write(tnsr_bytes(array))
 
 
 def read_tnsr(path) -> np.ndarray:
     with open(path, "rb") as f:
-        blob = f.read()
+        return parse_tnsr(f.read(), path)
+
+
+def parse_tnsr(blob: bytes, path="<bytes>") -> np.ndarray:
+    """The float32 array held by the TNSR bytes blob; path names it in errors."""
     if blob[:4] != _TNSR_MAGIC:
         raise ValueError(f"{path}: bad magic, not a TNSR file")
     if len(blob) < 6:

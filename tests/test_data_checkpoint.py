@@ -147,6 +147,22 @@ class TestDatasetOnDisk:
         with pytest.raises(ValueError, match="hash mismatch"):
             load_dataset(tmp_path / "d")
 
+    def test_each_file_read_once(self, tmp_path, monkeypatch):
+        spec = tiny_spec()
+        reads = []
+        read_bytes = Path.read_bytes
+
+        def counting(path):
+            reads.append(str(path))
+            return read_bytes(path)
+
+        monkeypatch.setattr(Path, "read_bytes", counting)
+        gen_dataset(spec, tmp_path / "d")
+        assert reads == []  # the hash is taken from the bytes as they are written
+        load_dataset(tmp_path / "d")
+        files = [str(p) for p in (tmp_path / "d").rglob("*.tnsr")]
+        assert sorted(reads) == sorted(files)
+
     @pytest.mark.parametrize("shift,digest", [
         (ShiftParams(), "77752a817d499fbabd584d3f9d044948cbbd31e826d0d8eab3c737664a739fbb"),
         (ShiftParams(blur=1.2, gamma=1.5),

@@ -247,6 +247,27 @@ class TestSummary:
         assert len(rep.subset_ids) == report.summary["n_triggered"]
 
 
+class TestImageMetricsOnce:
+    def test_one_call_per_untriggered_row(self, tiny_run, monkeypatch):
+        cfg, report = tiny_run
+        dataset = P.ensure_dataset(cfg)
+        task = P.ensure_task(cfg, dataset)
+        suite = P.ensure_suite(cfg, task, dataset)
+        calls = []
+        metrics = P._image_metrics
+
+        def counting(output, target, psnr_max):
+            calls.append(output)
+            return metrics(output, target, psnr_max)
+
+        monkeypatch.setattr(P, "_image_metrics", counting)
+        rows = P.run_tta(cfg, task, suite, dataset, report.tau)
+        n_triggered = sum(r["triggered"] for r in rows)
+        assert 0 < n_triggered < len(rows)
+        assert len(calls) == len(rows) + n_triggered
+        assert rows == report.rows
+
+
 class TestTraces:
     def test_dump_traces_writes_json(self, tmp_path):
         cfg = tiny_config(tmp_path / "tr", dump_traces=True, strategy="fs",

@@ -640,3 +640,219 @@ class TestTnsrFormat:
         path.write_bytes(b"NOPE" + b"\x00" * 16)
         with pytest.raises(ValueError, match="magic"):
             read_tnsr(path)
+
+
+def _old_input_grad(g4, k, stride, padding, h, w):
+    """The input gradient as the dilated correlation with the flipped kernel."""
+    cout, cin, kh, kw = k.shape
+    flipped = k[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(kh * kw * cout, cin)
+    gz = T._dilated_grad(g4, kh, kw, stride, padding, h, w)
+    return T._correlate(gz, flipped, kh, kw, 1)[0]
+
+
+class TestSubpixelInputGrad:
+    @pytest.mark.parametrize("batched", [False, True])
+    @pytest.mark.parametrize("size", [(7, 7), (6, 8), (9, 5)])
+    @pytest.mark.parametrize("ksize,padding", [(3, p) for p in range(3)] +
+                             [(5, p) for p in range(5)])
+    @pytest.mark.parametrize("stride", [2, 3])
+    def test_matches_loop_adjoint(self, stride, ksize, padding, size, batched):
+        # stride 3 with a 3x3 kernel leaves one tap per phase and input rows that
+        # no output window reaches; with a 5x5 kernel, phases of one and two taps
+        local = np.random.default_rng([stride, ksize, padding, *size, batched])
+        xs = local.normal(size=(2, 3) + size).astype(np.float32)
+        k = local.normal(size=(2, 3, ksize, ksize)).astype(np.float32)
+        out_shape = conv2d_reference(xs[0], k, stride, padding).shape
+        gs = local.normal(size=(2,) + out_shape).astype(np.float32)
+        x_t = Tensor(xs if batched else xs[0], requires_grad=True)
+        out = conv2d(x_t, Tensor(k), stride=stride, padding=padding)
+        backward(T.tensor_sum(T.mul(out, Tensor(gs if batched else gs[0]))))
+        assert _channels_last(x_t.grad)
+        for b in range(2 if batched else 1):
+            dx_ref, _ = conv2d_reference_grads(xs[b], k, gs[b], stride, padding)
+            dx = x_t.grad[b] if batched else x_t.grad
+            assert np.abs(dx - dx_ref).max() < 1e-4
+
+    @pytest.mark.parametrize("batched", [False, True])
+    @pytest.mark.parametrize("channels", [1, 3])
+    @pytest.mark.parametrize("ksize,padding", [(3, 0), (3, 1), (5, 2), (5, 4)])
+    def test_stride_1_bitwise_equal_to_flipped_correlation(self, ksize, padding, channels,
+                                                          batched):
+        local = np.random.default_rng([ksize, padding, channels, batched])
+        shape = (2, channels, 6, 7) if batched else (channels, 6, 7)
+        x_t = Tensor(local.normal(size=shape).astype(np.float32), requires_grad=True)
+        k = local.normal(size=(4, channels, ksize, ksize)).astype(np.float32)
+        out = conv2d(x_t, Tensor(k), padding=padding)
+        g = local.normal(size=out.shape).astype(np.float32)
+        backward(T.tensor_sum(T.mul(out, Tensor(g))))
+        ref = _old_input_grad(T._as_batched(g)[0], k, 1, padding, 6, 7)
+        assert np.array_equal(x_t.grad, ref if batched else ref[0])
+
+    @pytest.mark.parametrize("stride,ksize", [(2, 3), (2, 5), (3, 5)])
+    def test_one_correlation_of_undilated_gradient(self, stride, ksize, monkeypatch):
+        x = Tensor(rng.normal(size=(2, 3, 9, 8)).astype(np.float32), requires_grad=True)
+        k = Tensor(rng.normal(size=(4, 3, ksize, ksize)).astype(np.float32))
+        out = conv2d(x, k, stride=stride, padding=1)
+        g = rng.normal(size=out.shape).astype(np.float32)
+        calls = []
+        correlate = T._correlate
+
+        def recording(xp, kmat, kh, kw, s):
+            res, cols = correlate(xp, kmat, kh, kw, s)
+            calls.append((xp.copy(), kmat.shape, cols.shape, (kh, kw, s)))
+            return res, cols
+
+        monkeypatch.setattr(T, "_correlate", recording)
+        backward(T.tensor_sum(T.mul(out, Tensor(g))))
+        taps = -(-ksize // stride)
+        assert len(calls) == 1
+        gz, kmat_shape, cols_shape, window = calls[0]
+        assert window == (taps, taps, 1)
+        assert cols_shape[1] == taps * taps * 4 == kmat_shape[0]
+        assert kmat_shape[1] == stride * stride * 3
+        # the buffer is the output gradient, undilated, in a border of zeros
+        ho, wo = g.shape[-2:]
+        top = taps - 1  # padding 1 < stride
+        assert np.array_equal(gz[:, :, top:top + ho, top:top + wo], g)
+        assert np.count_nonzero(gz) == np.count_nonzero(g)
+
+
+def _upsampled_oracle(x, k, g, stride, padding):
+    """Loop oracle of conv2d(upsample_x2(x)): its output and its kernel gradient."""
+    up = np.repeat(np.repeat(x.astype(np.float64), 2, axis=-2), 2, axis=-1)
+    _, dk = conv2d_reference_grads(up, k, g, stride, padding)
+    return conv2d_reference(up, k, stride, padding), dk
+
+
+class TestUpsampleKernelGrad:
+    @pytest.mark.parametrize("batched", [False, True])
+    @pytest.mark.parametrize("ksize", [3, 5])
+    @pytest.mark.parametrize("padding", [0, 1, 2])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_matches_loop_oracle(self, stride, padding, ksize, batched):
+        local = np.random.default_rng([stride, padding, ksize, batched])
+        xs = local.normal(size=(2, 3, 4, 5)).astype(np.float32)
+        k = local.normal(size=(2, 3, ksize, ksize)).astype(np.float32)
+        out_shape = conv2d_reference(np.zeros((3, 8, 10)), k, stride, padding).shape
+        gs = local.normal(size=(2,) + out_shape).astype(np.float32)
+        x_t = Tensor(xs if batched else xs[0], requires_grad=True)
+        k_t = Tensor(k, requires_grad=True)
+        out = T.conv_layer(x_t, k_t, Tensor(np.zeros(2, np.float32)), stride=stride,
+                           padding=padding, upsample=True)
+        backward(T.tensor_sum(T.mul(out, Tensor(gs if batched else gs[0]))))
+        dk_ref = np.zeros(k.shape)
+        for b in range(2 if batched else 1):
+            ref, dk_b = _upsampled_oracle(xs[b], k, gs[b], stride, padding)
+            assert np.abs((out.data[b] if batched else out.data) - ref).max() < 1e-4
+            dk_ref += dk_b
+        assert np.abs(k_t.grad - dk_ref).max() < 1e-4
+
+    def test_forward_keeps_no_im2col_and_backward_correlates_once(self, monkeypatch):
+        import weakref
+        x = Tensor(rng.normal(size=(2, 3, 5, 6)).astype(np.float32), requires_grad=True)
+        k = Tensor(rng.normal(size=(4, 3, 3, 3)).astype(np.float32), requires_grad=True)
+        built = []
+        im2col = T._im2col
+
+        def recording_im2col(*args):
+            cols, ho, wo = im2col(*args)
+            built.append(weakref.ref(cols))
+            return cols, ho, wo
+
+        monkeypatch.setattr(T, "_im2col", recording_im2col)
+        out = T.conv_layer(x, k, Tensor(np.zeros(4, np.float32)), padding=1, upsample=True)
+        assert len(built) == 1 and built[0]() is None  # the fine im2col is already freed
+        calls = []
+        correlate = T._correlate
+
+        def recording(xp, kmat, kh, kw, stride):
+            res, cols = correlate(xp, kmat, kh, kw, stride)
+            calls.append((stride, res.shape))
+            return res, cols
+
+        monkeypatch.setattr(T, "_correlate", recording)
+        backward(T.tensor_sum(out))
+        assert calls == [(2, x.shape)]
+        assert x.grad is not None and k.grad is not None
+
+
+class TestSubpixelFormCache:
+    def test_cached_for_frozen_kernel_only(self):
+        x = Tensor(rng.normal(size=(3, 8, 8)).astype(np.float32), requires_grad=True)
+        k = Tensor(rng.normal(size=(4, 3, 3, 3)).astype(np.float32))
+        backward(T.tensor_sum(conv2d(x, k, stride=2, padding=1)))
+        cached = k._gemm[1][2]
+        assert cached.shape == (2 * 2 * 4, 2 * 2 * 3)
+        assert np.array_equal(cached, T._gemm_form(k.data, 2))
+        assert T._kernel_matrix(k, 2) is cached
+        # the stride-1 form is the flipped, channel-transposed kernel
+        assert np.array_equal(T._kernel_matrix(k, 1), k.data[:, :, ::-1, ::-1]
+                              .transpose(2, 3, 0, 1).reshape(9 * 4, 3))
+        trainable = Tensor(k.data.copy(), requires_grad=True)
+        backward(T.tensor_sum(conv2d(x, trainable, stride=2, padding=1)))
+        assert trainable._gemm is None
+        assert T._kernel_matrix(trainable, 2) is not T._kernel_matrix(trainable, 2)
+
+    @pytest.mark.parametrize("refresh", ["adam_step", "assignment"])
+    def test_refreshed(self, refresh):
+        x = Tensor(rng.normal(size=(3, 8, 8)).astype(np.float32), requires_grad=True)
+        k = Tensor(rng.normal(size=(4, 3, 3, 3)).astype(np.float32))
+        backward(T.tensor_sum(conv2d(x, k, stride=2, padding=1)))  # caches the stride-2 form
+        if refresh == "adam_step":
+            k.requires_grad = True
+            k.grad = rng.normal(size=k.shape).astype(np.float32)
+            adam_step([k], make_adam([k], lr=0.1))
+            k.requires_grad = False
+        else:
+            k.data = k.data + np.float32(0.1)
+        x.grad = None
+        backward(T.tensor_sum(conv2d(x, k, stride=2, padding=1)))
+        fresh_x = Tensor(x.data, requires_grad=True)
+        backward(T.tensor_sum(conv2d(fresh_x, Tensor(k.data.copy()), stride=2, padding=1)))
+        assert np.array_equal(x.grad, fresh_x.grad)
+
+
+def _old_adam_step(params, state):
+    """adam_step as it was written before its in-place update, kept as the reference."""
+    state.step_count += 1
+    t = state.step_count
+    b1, b2 = state.beta1, state.beta2
+    bc1 = 1.0 - b1 ** t
+    bc2 = 1.0 - b2 ** t
+    for i, p in enumerate(params):
+        state.m[i] = b1 * state.m[i] + (1.0 - b1) * p.grad
+        state.v[i] = b2 * state.v[i] + (1.0 - b2) * np.square(p.grad)
+        m_hat = state.m[i] / bc1
+        v_hat = state.v[i] / bc2
+        p.data -= (state.lr * m_hat / (np.sqrt(v_hat) + state.eps)).astype(np.float32)
+
+
+class TestAdamInPlace:
+    def test_twenty_steps_bitwise_equal_to_reference(self):
+        local = np.random.default_rng(20)
+        shapes = [(16, 8, 3, 3), (16,), ()]
+        init = [local.normal(size=s).astype(np.float32) for s in shapes]
+        sides = []
+        for step in (adam_step, _old_adam_step):
+            params = [Tensor(a.copy(), requires_grad=True) for a in init]
+            state = make_adam(params, lr=3e-3)
+            grads = np.random.default_rng(21)
+            for _ in range(20):
+                for p in params:
+                    p.grad = grads.normal(size=p.shape).astype(np.float32)
+                step(params, state)
+            sides.append((params, state))
+        (new, s_new), (old, s_old) = sides
+        for a, b in zip(new, old):
+            assert a.data.dtype == np.float32 and np.array_equal(a.data, b.data)
+        for a, b in zip(s_new.m + s_new.v, s_old.m + s_old.v):
+            assert np.array_equal(a, b)
+
+    def test_moments_updated_in_place(self):
+        p = Tensor(np.ones((2, 3), np.float32), requires_grad=True)
+        state = make_adam([p], lr=0.1)
+        m, v, data = state.m[0], state.v[0], p.data
+        p.grad = np.full((2, 3), 0.5, np.float32)
+        adam_step([p], state)
+        assert state.m[0] is m and state.v[0] is v and p.data is data
+        assert np.all(m != 0) and np.all(data != 1)

@@ -298,7 +298,7 @@ def run_tta(cfg: RunConfig, task: TaskModel, suite: ReconSuite, dataset: Dataset
         outcome = runner.run_sample(x, cfg.strategy, tau,
                                     sample_index=sample_index, trace_sink=sink)
         mae_b, psnr_b, ssim_b = base = _image_metrics(outcome.base_output, y, cfg.psnr_max)
-        # the gate's own output (untriggered, or every configuration failed) scores as base
+        # the gate's own output, as on every untriggered row, scores as base
         mae_t, psnr_t, ssim_t = (base if outcome.output is outcome.base_output
                                  else _image_metrics(outcome.output, y, cfg.psnr_max))
         rows.append({

@@ -91,7 +91,7 @@ class LevelAdaptor:
 
 
 class AdaptorSet:
-    """Input adaptor, per-level 1x1 adaptors, and the per-level selector."""
+    """Input adaptor and per-level 1x1 adaptors; a configuration selects the active levels."""
 
     def __init__(self, task: TaskModel, seed: int = 0, input_width: int = 8):
         rng = np.random.default_rng(seed)
@@ -103,12 +103,6 @@ class AdaptorSet:
         for i in range(1, task.num_levels + 1):
             self.level_adaptors[i] = LevelAdaptor(task.channels_at(i),
                                                   task.channels_at(task.n_layers - i))
-        self.selector: set[int] = set()
-
-    def set_selector(self, omega: Configuration) -> None:
-        if max(omega.active) > self.num_levels:
-            raise ValueError(f"configuration {omega} exceeds {self.num_levels} levels")
-        self.selector = set(omega.active)
 
     def params(self) -> list[Tensor]:
         out = self.input_adaptor.params()
@@ -150,8 +144,9 @@ class AdaptedPass:
 def _adapted_pass(task: TaskModel, suite: ReconSuite, adaptors: AdaptorSet,
                   omega: Configuration, x_a: Tensor) -> AdaptedPass:
     """Forward from the adapted input x_a with omega's level adaptors active."""
-    adaptors.set_selector(omega)
-    active = adaptors.selector
+    active = omega.active
+    if max(active) > adaptors.num_levels:
+        raise ValueError(f"configuration {omega} exceeds {adaptors.num_levels} levels")
     mirrors = {task.n_layers - i: i for i in active}
 
     def hook(depth: int, h: Tensor) -> Tensor:
@@ -165,7 +160,7 @@ def _adapted_pass(task: TaskModel, suite: ReconSuite, adaptors: AdaptorSet,
     eps_x = suite.member_error("x", x_a)
     eps_y = suite.member_error("y", trace.output)
     eps_i = {}
-    for i in sorted(active):
+    for i in active:
         hc = concat_symmetric(trace, i, task.n_layers)
         eps_i[i] = suite.member_error(i, hc)
     return AdaptedPass(x_a=x_a, trace=trace, eps_x=eps_x, eps_i=eps_i, eps_y=eps_y)
@@ -173,7 +168,7 @@ def _adapted_pass(task: TaskModel, suite: ReconSuite, adaptors: AdaptorSet,
 
 def adapted_forward(task: TaskModel, suite: ReconSuite, adaptors: AdaptorSet,
                     omega: Configuration, x) -> tuple[FeatureTrace, ShiftErrors]:
-    """Forward pass with the selector honoring omega; errors for active levels only."""
+    """Forward pass with omega's level adaptors active; errors for active levels only."""
     xt = x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float32))
     with T.no_grad():
         ap = _adapted_pass(task, suite, adaptors, omega, adaptors.input_adaptor.forward(xt))

@@ -2,9 +2,10 @@
 
 A task model keeps its blobs at layer<i>.<weight|bias>.tnsr, a recon suite at
 member_<key>/layer<i>.<weight|bias>.tnsr. The manifest at the checkpoint's
-root lists every blob with its SHA-256, which is verified on load. Round trips
-are bitwise-lossless. A checkpoint of another version (version 1 kept one
-sub-manifest per suite member) fails to load with ValueError.
+root lists every blob with its SHA-256, taken from the bytes as they are
+written. Loading reads each blob once and checks its hash before parsing it.
+Round trips are bitwise-lossless. A checkpoint of another version (version 1
+kept one sub-manifest per suite member) fails to load with ValueError.
 """
 
 from __future__ import annotations
@@ -15,13 +16,9 @@ from pathlib import Path
 
 from .recon import ReconSuite
 from .tasknet import TaskModel
-from .tensor import Tensor, read_tnsr, write_tnsr
+from .tensor import Tensor, parse_tnsr, tnsr_bytes
 
 _CKPT_VERSION = 2
-
-
-def _sha256_file(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def _named_params(layers, prefix: str = "") -> list[tuple[str, Tensor]]:
@@ -40,9 +37,10 @@ def _save(path, kind: str, named: list[tuple[str, Tensor]], fields: dict) -> Non
     entries = []
     for name, t in named:
         fname = f"{name}.tnsr"
+        blob = tnsr_bytes(t.data)
         (root / fname).parent.mkdir(parents=True, exist_ok=True)
-        write_tnsr(root / fname, t.data)
-        entries.append({"name": name, "file": fname, "sha256": _sha256_file(root / fname)})
+        (root / fname).write_bytes(blob)
+        entries.append({"name": name, "file": fname, "sha256": hashlib.sha256(blob).hexdigest()})
     for stale in root.glob("member_*/manifest.json"):  # left by a version-1 suite
         stale.unlink()
     manifest = {"kind": kind, "version": _CKPT_VERSION, **fields, "params": entries}
@@ -64,10 +62,11 @@ def _load(path, kind: str, build):
     if set(by_name) != {e["name"] for e in entries}:
         raise ValueError(f"checkpoint parameter set mismatch under {root}")
     for e in entries:
-        blob = root / e["file"]
-        if _sha256_file(blob) != e["sha256"]:
-            raise ValueError(f"checkpoint blob corrupt: {blob}")
-        data = read_tnsr(blob)
+        path = root / e["file"]
+        blob = path.read_bytes()
+        if hashlib.sha256(blob).hexdigest() != e["sha256"]:
+            raise ValueError(f"checkpoint blob corrupt: {path}")
+        data = parse_tnsr(blob, path)
         target = by_name[e["name"]]
         if data.shape != target.data.shape:
             raise ValueError(f"architecture mismatch for {e['name']}: "

@@ -1,10 +1,10 @@
 """Trigger threshold and the per-sample configuration search strategies.
 
 All strategies minimise the per-configuration objective "best eps_y over M
-adaptation steps with fresh adaptors" and share strict-< improvement
-semantics, so the first-enumerated optimum wins ties. Subsets are enumerated
-by cardinality, then lexicographically. Budgets count configurations and
-adaptation steps exactly (one forward per step).
+adaptation steps with fresh adaptors". A strategy only picks the next
+configuration and when to stop; the objective keeps the exact budget (one
+forward per adaptation step) and the strict-< best, so the first-evaluated
+optimum wins ties. Subsets are enumerated by cardinality, then lexicographically.
 
 Greedy strategies stop early when eps_best reaches exactly 0.0: reconstruction
 errors are non-negative, so no strictly better value exists.
@@ -19,7 +19,7 @@ from itertools import combinations
 import numpy as np
 
 from . import tensor as T
-from .adaptors import (Configuration, IdentityStep, StepTrace, adapt_steps, identity_step,
+from .adaptors import (Configuration, IdentityStep, adapt_steps, identity_step,
                        init_adaptors)
 from .recon import ReconSuite
 from .tasknet import TaskModel, translate
@@ -69,7 +69,6 @@ class SearchBudget:
 class ConfigEval:
     eps: float
     output: np.ndarray | None = None
-    trace: StepTrace | None = None
 
 
 @dataclass
@@ -85,7 +84,33 @@ class SearchOutcome:
     eps_unadapted: float = math.nan
 
 
-class MockObjective:
+class _Objective:
+    """Bookkeeping of one search's objective: its budget and its best so far.
+
+    The best is the first evaluation whose eps is strictly below every eps
+    before it; while none is (no evaluation yet, or only inf and NaN) the
+    outcome has no configuration and eps_best inf.
+    """
+
+    _best: tuple[Configuration | None, ConfigEval] = (None, ConfigEval(eps=math.inf))
+
+    def _record(self, omega: Configuration, ev: ConfigEval, steps: int,
+                failed: bool = False) -> ConfigEval:
+        self.budget.configs_evaluated += 1
+        self.budget.adapt_steps_total += steps
+        self.budget.forwards_total += steps
+        self.budget.failed_configs += failed
+        if ev.eps < self._best[1].eps:
+            self._best = (omega, ev)
+        return ev
+
+    def outcome(self) -> SearchOutcome:
+        omega, ev = self._best
+        return SearchOutcome(omega_star=omega, eps_best=ev.eps, output=ev.output,
+                             budget=self.budget, triggered=True)
+
+
+class MockObjective(_Objective):
     """Deterministic per-configuration objective for search tests."""
 
     def __init__(self, k: int, fn, steps_per_eval: int = 1):
@@ -95,28 +120,14 @@ class MockObjective:
         self.budget = SearchBudget()
 
     def evaluate(self, omega: Configuration) -> ConfigEval:
-        self.budget.configs_evaluated += 1
-        self.budget.adapt_steps_total += self.steps_per_eval
-        self.budget.forwards_total += self.steps_per_eval
-        return ConfigEval(eps=float(self.fn(omega)), output=None)
-
-
-def _outcome(ctx, best_cfg, best_eval) -> SearchOutcome:
-    if best_cfg is None:
-        return SearchOutcome(omega_star=None, eps_best=float("inf"), output=None,
-                             budget=ctx.budget, triggered=True)
-    return SearchOutcome(omega_star=best_cfg, eps_best=best_eval.eps,
-                         output=best_eval.output, budget=ctx.budget, triggered=True)
+        return self._record(omega, ConfigEval(eps=float(self.fn(omega))), self.steps_per_eval)
 
 
 def grid_search(ctx) -> SearchOutcome:
     """Exhaustive search over all 2^k - 1 configurations."""
-    best_cfg, best_eval, best_eps = None, None, math.inf
     for cfg in enumerate_configurations(ctx.k):
-        ev = ctx.evaluate(cfg)
-        if ev.eps < best_eps:
-            best_cfg, best_eval, best_eps = cfg, ev, ev.eps
-    return _outcome(ctx, best_cfg, best_eval)
+        ctx.evaluate(cfg)
+    return ctx.outcome()
 
 
 def random_search(ctx, n_config: int, rng: np.random.Generator) -> SearchOutcome:
@@ -129,109 +140,67 @@ def random_search(ctx, n_config: int, rng: np.random.Generator) -> SearchOutcome
         raise ValueError("n_config must be >= 1")
     space = enumerate_configurations(ctx.k)
     take = min(n_config, len(space))
-    idx = sorted(rng.choice(len(space), size=take, replace=False).tolist())
-    best_cfg, best_eval, best_eps = None, None, math.inf
-    for i in idx:
-        ev = ctx.evaluate(space[i])
-        if ev.eps < best_eps:
-            best_cfg, best_eval, best_eps = space[i], ev, ev.eps
-    return _outcome(ctx, best_cfg, best_eval)
+    for i in sorted(rng.choice(len(space), size=take, replace=False).tolist()):
+        ctx.evaluate(space[i])
+    return ctx.outcome()
 
 
 def forward_selection(ctx, faithful_pseudocode: bool = False) -> SearchOutcome:
     """Greedy growth from the empty set, adding the best strictly-improving level.
 
-    Stops when a round yields no strict improvement (or eps hits the 0.0
-    floor). If even the first round adopts nothing (all evaluations
-    non-finite), falls back to the best single candidate evaluated so the
-    returned configuration is non-empty.
+    A round evaluates the current set plus each unselected level r, in
+    ascending r; its best is the lowest eps, ties to the smallest r. The
+    round is adopted only if that eps is strictly below the last adopted
+    one; the search stops at the first round that is not (or when eps hits
+    the 0.0 floor).
     """
     if faithful_pseudocode:
         return _forward_selection_literal(ctx)
-    levels = list(range(1, ctx.k + 1))
     selected: list[int] = []
-    best_cfg, best_eval, best_eps = None, None, math.inf
-    first_round: list[tuple[Configuration, ConfigEval]] = []
+    last = math.inf
     while len(selected) < ctx.k:
-        round_best = None
-        for r in levels:
-            if r in selected:
-                continue
-            cfg = Configuration.of(selected + [r])
-            ev = ctx.evaluate(cfg)
-            if not selected:
-                first_round.append((cfg, ev))
-            if round_best is None or ev.eps < round_best[1].eps:
-                round_best = (cfg, ev, r)
-        if round_best is None:
+        eps, r = min((ctx.evaluate(Configuration.of(selected + [r])).eps, r)
+                     for r in range(1, ctx.k + 1) if r not in selected)
+        if not eps < last:
             break
-        cfg, ev, r = round_best
-        if ev.eps < best_eps:
-            best_cfg, best_eval, best_eps = cfg, ev, ev.eps
-            selected.append(r)
-            selected.sort()
-            if best_eps == 0.0:
-                break
-        else:
+        last = eps
+        selected.append(r)
+        if eps == 0.0:
             break
-    if best_cfg is None and first_round:
-        # non-emptiness fallback: best single candidate, ties to first evaluated
-        best_cfg, best_eval = min(first_round, key=lambda ce: ce[1].eps)
-    return _outcome(ctx, best_cfg, best_eval)
+    return ctx.outcome()
 
 
 def _forward_selection_literal(ctx) -> SearchOutcome:
-    """The pseudocode variant: the candidate set grows within a round and the
-    search breaks at the first non-improving evaluation."""
-    levels = list(range(1, ctx.k + 1))
-    selected: list[int] = []
-    best_cfg, best_eval = None, None
-    stop = False
-    while not stop and len(selected) < ctx.k:
-        omega: list[int] = []
-        progressed = False
-        for r in levels:
-            if r in selected:
-                continue
-            omega.append(r)
-            cfg = Configuration.of(omega)
-            ev = ctx.evaluate(cfg)
-            if best_eval is None or ev.eps < best_eval.eps:
-                best_cfg, best_eval = cfg, ev
-                selected.append(r)
-                selected.sort()
-                progressed = True
-            else:
-                stop = True
-                break
-        if not progressed:
+    """The pseudocode variant, a prefix scan: evaluates {1}, {1,2}, ... and
+    stops at the first prefix whose eps is not strictly below its predecessor's
+    (below inf, for {1})."""
+    last = math.inf
+    for r in range(1, ctx.k + 1):
+        eps = ctx.evaluate(Configuration.of(range(1, r + 1))).eps
+        if not eps < last:
             break
-    return _outcome(ctx, best_cfg, best_eval)
+        last = eps
+    return ctx.outcome()
 
 
 def backward_elimination(ctx) -> SearchOutcome:
     """Greedy shrink from the full set via the best strictly-improving removal.
 
-    The full set is evaluated once as the baseline; the search keeps omega
-    non-empty by stopping at singletons.
+    The full set is evaluated once as the baseline; a round evaluates the set
+    without each selected level r, in ascending r, and is adopted as in
+    forward_selection. The search keeps omega non-empty by stopping at
+    singletons.
     """
     selected = list(range(1, ctx.k + 1))
-    best_cfg = Configuration.of(selected)
-    best_eval = ctx.evaluate(best_cfg)
-    while len(selected) > 1 and best_eval.eps != 0.0:
-        round_best = None
-        for r in selected:
-            cfg = Configuration.of([i for i in selected if i != r])
-            ev = ctx.evaluate(cfg)
-            if round_best is None or ev.eps < round_best[1].eps:
-                round_best = (cfg, ev, r)
-        cfg, ev, r = round_best
-        if ev.eps < best_eval.eps:
-            best_cfg, best_eval = cfg, ev
-            selected.remove(r)
-        else:
+    last = ctx.evaluate(Configuration.of(selected)).eps
+    while len(selected) > 1 and last != 0.0:
+        eps, r = min((ctx.evaluate(Configuration.of([i for i in selected if i != r])).eps, r)
+                     for r in selected)
+        if not eps < last:
             break
-    return _outcome(ctx, best_cfg, best_eval)
+        last = eps
+        selected.remove(r)
+    return ctx.outcome()
 
 
 def bayesian_search(ctx, n_trials: int = 20, n_start: int = 5,
@@ -254,7 +223,6 @@ def bayesian_search(ctx, n_trials: int = 20, n_start: int = 5,
     init = [space[i] for i in rng.choice(len(space), size=init_count, replace=False)]
     history: list[tuple[Configuration, float]] = []
     evaluated: set[tuple[int, ...]] = set()
-    best_cfg, best_eval, best_eps = None, None, math.inf
     for t in range(1, n_trials + 1):
         if len(evaluated) == len(space):
             break
@@ -264,12 +232,9 @@ def bayesian_search(ctx, n_trials: int = 20, n_start: int = 5,
             cfg = _tpe_propose(history, ctx.k, rng, gamma, candidates_per_trial, evaluated, space)
             if cfg is None:
                 break
-        ev = ctx.evaluate(cfg)
         evaluated.add(cfg.active)
-        history.append((cfg, ev.eps))
-        if ev.eps < best_eps:
-            best_cfg, best_eval, best_eps = cfg, ev, ev.eps
-    return _outcome(ctx, best_cfg, best_eval)
+        history.append((cfg, ctx.evaluate(cfg).eps))
+    return ctx.outcome()
 
 
 def _tpe_propose(history, k: int, rng: np.random.Generator, gamma: float,
@@ -322,7 +287,7 @@ def _bit_density(configs, k: int) -> np.ndarray:
 
 
 @dataclass
-class AdaptEvaluator:
+class AdaptEvaluator(_Objective):
     """Objective that evaluates a configuration with fresh adaptors + M steps.
 
     Adaptor init RNG is keyed by (seed, sample_index, omega) so results do not
@@ -360,13 +325,10 @@ class AdaptEvaluator:
         trace = adapt_steps(self.task, self.suite, adaptors, omega, self.x,
                             self.m_steps, lr=self.adaptor_lr,
                             loss_weights=self.loss_weights, identity=self._identity)
-        self.budget.configs_evaluated += 1
-        self.budget.adapt_steps_total += len(trace.steps)
-        self.budget.forwards_total += len(trace.steps)
-        self.budget.failed_configs += trace.failed
         if self.trace_sink is not None:
             self.trace_sink.append(trace)
-        return ConfigEval(eps=trace.best_eps_y, output=trace.best_output, trace=trace)
+        return self._record(omega, ConfigEval(eps=trace.best_eps_y, output=trace.best_output),
+                            len(trace.steps), trace.failed)
 
 
 STRATEGY_NAMES = ("grid", "rand10", "rand50", "fs", "be", "tpe", "static-all")
@@ -436,12 +398,7 @@ class TtaRunner:
                                       rng=rng, gamma=self.tpe_gamma,
                                       candidates_per_trial=self.tpe_candidates)
         else:  # static-all
-            cfg = Configuration.of(range(1, ctx.k + 1))
-            ev = ctx.evaluate(cfg)
-            outcome = _outcome(ctx, cfg, ev)
-        if outcome.omega_star is None or outcome.output is None:
-            # every evaluation failed: report the unadapted result
-            outcome = SearchOutcome(omega_star=None, eps_best=eps_unadapted, output=output,
-                                    budget=ctx.budget, triggered=True)
+            ctx.evaluate(Configuration.of(range(1, ctx.k + 1)))
+            outcome = ctx.outcome()
         outcome.base_output, outcome.eps_unadapted = output, eps_unadapted
         return outcome

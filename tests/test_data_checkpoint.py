@@ -1,3 +1,5 @@
+import builtins
+import io
 import json
 import subprocess
 import sys
@@ -246,3 +248,25 @@ class TestCheckpoints:
             assert sorted(e["file"] for e in manifest["params"]) == \
                 sorted(str(p.relative_to(root)) for p in root.rglob("*.tnsr"))
         assert (tmp_path / "suite" / "member_y" / "layer3.bias.tnsr").exists()
+
+    def test_each_blob_read_once(self, tmp_path, small_stack, monkeypatch):
+        _, task, suite = small_stack
+        reads = []
+        real_open = io.open
+
+        def counting(file, mode="r", *args, **kwargs):
+            if "r" in mode and str(file).endswith(".tnsr"):
+                reads.append(str(file))
+            return real_open(file, mode, *args, **kwargs)
+
+        # Path.read_bytes opens through io.open, a bare open() through builtins
+        monkeypatch.setattr(io, "open", counting)
+        monkeypatch.setattr(builtins, "open", counting)
+        save_task(task, tmp_path / "task")
+        save_suite(suite, tmp_path / "suite")
+        assert reads == []  # the hashes are taken from the bytes as they are written
+        back_task = load_task(tmp_path / "task")
+        back_suite = load_suite(tmp_path / "suite", back_task)
+        assert sorted(reads) == sorted(str(p) for p in tmp_path.rglob("*.tnsr"))
+        assert back_task.checksum() == task.checksum()
+        assert back_suite.checksum() == suite.checksum()

@@ -474,3 +474,118 @@ class TestSharedIdentityStep:
         assert by_search == by_adaptors == []
         runner.run_sample(x, "fs", tau=0.0)
         assert by_search == ["identity_step"]
+
+
+class _RecordingObjective(MockObjective):
+    """A MockObjective that logs (omega, eps) for every evaluation, in order."""
+
+    def __init__(self, k, fn):
+        super().__init__(k, fn)
+        self.log = []
+
+    def evaluate(self, omega):
+        ev = super().evaluate(omega)
+        self.log.append((omega.active, ev.eps))
+        return ev
+
+
+def strict_first_minimum(log):
+    best, best_val = None, math.inf
+    for combo, val in log:
+        if val < best_val:
+            best, best_val = combo, val
+    return best, best_val
+
+
+def prefix_scan_reference(k, fn):
+    """Independent literal forward selection: {1}, {1,2}, ... until no strict improvement."""
+    best, best_val, evals = None, math.inf, 0
+    for r in range(1, k + 1):
+        combo = tuple(range(1, r + 1))
+        val = fn(Configuration(combo))
+        evals += 1
+        if not val < best_val:
+            break
+        best, best_val = combo, val
+    return best, best_val, evals
+
+
+_SEARCHES = {
+    "grid": lambda ctx, seed: grid_search(ctx),
+    "rand3": lambda ctx, seed: random_search(ctx, 3, np.random.default_rng(seed)),
+    "rand-all": lambda ctx, seed: random_search(ctx, 2 ** ctx.k, np.random.default_rng(seed)),
+    "fs": lambda ctx, seed: forward_selection(ctx),
+    "fs-literal": lambda ctx, seed: forward_selection(ctx, faithful_pseudocode=True),
+    "be": lambda ctx, seed: backward_elimination(ctx),
+    "tpe": lambda ctx, seed: bayesian_search(ctx, n_trials=8, n_start=3,
+                                             rng=np.random.default_rng(seed)),
+}
+
+
+class TestSearchResultIsBestEvaluated:
+    """Every strategy returns the strict-first minimum of its own evaluations."""
+
+    @pytest.mark.parametrize("name", sorted(_SEARCHES))
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_forced_ties(self, name, k):
+        r = np.random.default_rng(100 * k + len(name))
+        for seed in range(100):
+            table = {c: float(r.choice([0.0, 0.25, 0.5, 1.0])) for c in all_subsets(k)}
+            ctx = _RecordingObjective(k, lambda cfg: table[cfg.active])
+            out = _SEARCHES[name](ctx, seed)
+            best, best_val = strict_first_minimum(ctx.log)
+            assert out.omega_star.active == best
+            assert out.eps_best == best_val
+            assert ctx.budget.configs_evaluated == len(ctx.log)
+
+    @pytest.mark.parametrize("k", [1, 3, 4, 5])
+    def test_literal_fs_is_a_prefix_scan(self, k):
+        r = np.random.default_rng(30 + k)
+        for trial in range(100):
+            if trial % 2:
+                table = {c: r.random() for c in all_subsets(k)}
+            else:
+                table = {c: float(r.choice([0.0, 0.5, 1.0])) for c in all_subsets(k)}
+            fn = lambda cfg: table[cfg.active]
+            ctx = MockObjective(k, fn, steps_per_eval=3)
+            out = forward_selection(ctx, faithful_pseudocode=True)
+            ref_combo, ref_val, ref_evals = prefix_scan_reference(k, fn)
+            assert out.omega_star.active == ref_combo
+            assert out.eps_best == ref_val
+            assert ctx.budget.configs_evaluated == ref_evals
+            assert ctx.budget.adapt_steps_total == ctx.budget.forwards_total == 3 * ref_evals
+
+
+class TestEveryConfigurationFailing:
+    """A level adaptor that always raises fails every configuration, and each
+    one still yields the unadapted output with a finite eps."""
+
+    @pytest.fixture
+    def broken_level_adaptors(self, monkeypatch):
+        def raising(*args, **kwargs):
+            raise NumericError("injected")
+
+        # conv2d_1x1 runs only in the level adaptors, so only in adapted forwards
+        monkeypatch.setattr(T, "conv2d_1x1", raising)
+
+    def test_evaluate_returns_the_unadapted_pass(self, small_stack, broken_level_adaptors):
+        ds, task, suite = small_stack
+        x = ds.pairs("ood_test")[0][0]
+        output, eps_unadapted = TtaRunner(task=task, suite=suite).unadapted(x)
+        ctx = AdaptEvaluator(task=task, suite=suite, x=x, m_steps=2)
+        for omega in enumerate_configurations(ctx.k):
+            ev = ctx.evaluate(omega)
+            assert math.isfinite(ev.eps) and ev.eps == eps_unadapted
+            assert ev.output is not None and np.array_equal(ev.output, output)
+        assert ctx.budget.failed_configs == ctx.budget.configs_evaluated == 2 ** ctx.k - 1
+
+    @pytest.mark.parametrize("strategy", S.STRATEGY_NAMES)
+    def test_run_sample_adopts_a_configuration(self, small_stack, broken_level_adaptors,
+                                               strategy):
+        ds, task, suite = small_stack
+        runner = TtaRunner(task=task, suite=suite, m_steps=2)
+        out = runner.run_sample(ds.pairs("ood_test")[0][0], strategy, tau=0.0)
+        assert out.triggered and out.omega_star is not None
+        assert out.budget.failed_configs == out.budget.configs_evaluated >= 1
+        assert out.eps_best == out.eps_unadapted
+        assert np.array_equal(out.output, out.base_output)

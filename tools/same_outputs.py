@@ -1,0 +1,88 @@
+#!/usr/bin/env python3
+"""Byte-compare the run outputs of two revisions on one small config.
+
+    python3 tools/same_outputs.py d5d5a49 HEAD
+
+Each side is a git revision, exported into a fresh directory with
+bench_pairs.export, or a path to an existing checkout. In each, `ttalab
+pipeline` runs the config of tests/test_cli.py at percentile 60 with traces
+dumped: once per strategy, and once more for fs with
+--fs-faithful-pseudocode, in a workdir of its own because it shares fs's run
+directory name. Every report.csv, budget.csv and traces/*.json is then
+compared byte for byte. The tool names each file that differs or exists on
+one side only, and exits 1 if there is any.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+from bench_pairs import export
+
+# the config of tests/test_cli.py
+CONFIG = {
+    "seed": 4,
+    "data": {"kind": "denoise", "image_size": 16, "train": 20, "calib": 12,
+             "id_test": 8, "ood_test": 8, "noise_sigma": 0.2, "noise_mix": 0.5,
+             "shift": {"noise_mult": 2.0, "gamma": 1.0, "blur": 0.0}, "seed": 4},
+    "task_hold": 2, "task_decay": 2,
+    "recon_hold": 1, "recon_decay": 2,
+    "steps": 2,
+}
+# (workdir, strategy, extra flags)
+RUNS = [("w", s, []) for s in ("grid", "rand10", "rand50", "fs", "be", "tpe", "static-all")]
+RUNS.append(("w-literal", "fs", ["--fs-faithful-pseudocode"]))
+MAIN = "import sys; from ttalab.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def run_all(checkout: Path, work: Path) -> dict[str, bytes]:
+    """Every compared output of the runs in checkout, by path relative to work."""
+    cfg = work / "config.json"
+    work.mkdir(parents=True)
+    cfg.write_text(json.dumps(CONFIG))
+    for workdir, strategy, extra in RUNS:
+        cmd = [sys.executable, "-c", MAIN, "pipeline", "--config", str(cfg),
+               "--workdir", str(work / workdir), "--strategy", strategy,
+               "--percentile", "60", "--dump-traces", *extra]
+        proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(checkout / "src")})
+        if proc.returncode != 0:
+            sys.exit(f"{checkout}: {strategy} {' '.join(extra)} failed "
+                     f"({proc.returncode}):\n{proc.stderr}")
+    files = [p for pattern in ("*/runs/*/report.csv", "*/runs/*/budget.csv",
+                               "*/runs/*/traces/*.json") for p in work.glob(pattern)]
+    return {str(p.relative_to(work)): p.read_bytes() for p in files}
+
+
+def main() -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("parent", help="git revision or checkout directory")
+    p.add_argument("change", help="git revision or checkout directory")
+    args = p.parse_args()
+    scratch = Path(tempfile.mkdtemp(prefix="same_outputs-"))
+    try:
+        outputs = {side: run_all(export(rev, scratch / side), scratch / f"{side}-work")
+                   for side, rev in (("parent", args.parent), ("change", args.change))}
+    finally:
+        shutil.rmtree(scratch, ignore_errors=True)
+    parent, change = outputs["parent"], outputs["change"]
+    differing = sorted(name for name in parent.keys() | change.keys()
+                       if parent.get(name) != change.get(name))
+    for name in differing:
+        where = "differs" if name in parent and name in change else \
+            f"only in {'parent' if name in parent else 'change'}"
+        print(f"{name}: {where}")
+    same = sum(change.get(name) == blob for name, blob in parent.items())
+    print(f"{same} files byte-identical, {len(differing)} differing")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

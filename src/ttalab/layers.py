@@ -99,6 +99,7 @@ def train_epochs(params: list[Tensor], columns: list[list[np.ndarray]], batch_lo
             T.backward(loss)
             adam_step(params, adam)
             losses.append(loss.item())
+            del loss  # free this batch's tape before the next batch builds its own
         report.epoch_losses.append(float(np.mean(losses)))
         report.lr_by_epoch.append(adam.lr)
     set_requires_grad(params, False)

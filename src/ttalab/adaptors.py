@@ -9,6 +9,8 @@ reconstruction suite stay frozen.
 
 from __future__ import annotations
 
+import functools
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -129,7 +131,6 @@ def init_adaptors(task: TaskModel, seed: int = 0, input_width: int = 8) -> Adapt
 class AdaptedPass:
     """One adapted forward pass; eps_* are taped scalar Tensors."""
 
-    x_a: Tensor
     trace: FeatureTrace
     eps_x: Tensor
     eps_i: dict[int, Tensor]
@@ -139,6 +140,13 @@ class AdaptedPass:
         return ShiftErrors(eps_x=self.eps_x.item(),
                            eps_i={i: t.item() for i, t in self.eps_i.items()},
                            eps_y=self.eps_y.item())
+
+    def loss_terms(self, loss_weights: tuple[float, float, float]) -> list[Tensor]:
+        """The adaptation loss, defined here only, as taped terms in summation
+        order: w_y*eps_y + w_x*eps_x, then w_mid*eps_i per active level, ascending."""
+        w_x, w_mid, w_y = loss_weights
+        return ([T.add(T.scale(self.eps_y, w_y), T.scale(self.eps_x, w_x))]
+                + [T.scale(self.eps_i[i], w_mid) for i in sorted(self.eps_i)])
 
 
 def _adapted_pass(task: TaskModel, suite: ReconSuite, adaptors: AdaptorSet,
@@ -163,7 +171,7 @@ def _adapted_pass(task: TaskModel, suite: ReconSuite, adaptors: AdaptorSet,
     for i in active:
         hc = concat_symmetric(trace, i, task.n_layers)
         eps_i[i] = suite.member_error(i, hc)
-    return AdaptedPass(x_a=x_a, trace=trace, eps_x=eps_x, eps_i=eps_i, eps_y=eps_y)
+    return AdaptedPass(trace=trace, eps_x=eps_x, eps_i=eps_i, eps_y=eps_y)
 
 
 def adapted_forward(task: TaskModel, suite: ReconSuite, adaptors: AdaptorSet,
@@ -229,11 +237,11 @@ class IdentityStep:
 
     Fresh adaptors are an exact identity (x_a is x, every 1x1 map is I), so
     step 1 of every configuration is the same forward, with the unadapted
-    errors. The adaptation loss is a sum of terms, w_y*eps_y + w_x*eps_x and
-    one w_mid*eps_i per active level, so omega's step-1 gradient is the sum
-    of the gradients of its terms. Those come from one taped forward with
-    every level active at identity from a leaf x_a = x, and one backward per
-    term; only the scalars, the output and the gradients are kept.
+    errors. The adaptation loss is a sum of terms (AdaptedPass.loss_terms),
+    so omega's step-1 gradient is the sum of the gradients of its terms.
+    Those come from one taped forward with every level active at identity
+    from a leaf x_a = x, and one backward per term; only the scalars, the
+    output and the gradients are kept.
 
     passed: the forward's scalars and output, off the tape; None if it raised,
     and then every configuration fails before its first record.
@@ -274,7 +282,6 @@ def identity_step(task: TaskModel, suite: ReconSuite, x,
                   loss_weights: tuple[float, float, float] = (1.0, 1.0, 1.0)) -> IdentityStep:
     """One sample's shared step 1 (see IdentityStep); a numeric failure is kept, not raised."""
     xd = np.asarray(x, dtype=np.float32)
-    w_x, w_mid, w_y = loss_weights
     step = IdentityStep(x=xd, loss_weights=tuple(loss_weights))
     levels = init_adaptors(task)
     full = Configuration.of(range(1, task.num_levels + 1))
@@ -288,14 +295,12 @@ def identity_step(task: TaskModel, suite: ReconSuite, x,
     except NumericError:
         return step
     step.passed = AdaptedPass(
-        x_a=Tensor(xd), trace=FeatureTrace(features={}, output=ap.trace.output.detach()),
+        trace=FeatureTrace(features={}, output=ap.trace.output.detach()),
         eps_x=ap.eps_x.detach(), eps_i={i: t.detach() for i, t in ap.eps_i.items()},
         eps_y=ap.eps_y.detach())
     grads = []
     try:
-        terms = [T.add(T.scale(ap.eps_y, w_y), T.scale(ap.eps_x, w_x))]
-        terms += [T.scale(ap.eps_i[i], w_mid) for i in full.active]
-        for term in terms:
+        for term in ap.loss_terms(loss_weights):
             zero_grads(leaves)
             backward(term)
             grads.append(_TermGrads(x_a=x_a.grad, levels={i: [p.grad for p in ps]
@@ -312,8 +317,8 @@ def adapt_steps(task: TaskModel, suite: ReconSuite, adaptors: AdaptorSet,
                 identity: IdentityStep | None = None) -> StepTrace:
     """Run M adaptation steps (M forwards, M-1 updates) and snapshot the lowest-eps_y output.
 
-    Each step: adapted forward, record eps_y and the adaptation loss
-    (w_x*eps_x + w_mid*sum eps_i + w_y*eps_y). Every step but the last then
+    Each step: adapted forward, record the errors and the adaptation loss
+    (the sum of AdaptedPass.loss_terms). Every step but the last then
     backprops and takes an Adam update on the input adaptor and the active
     level adaptors only; the last step's update would never be evaluated, so
     it is not taken and the last forward runs off the tape. Step 1 therefore
@@ -333,7 +338,6 @@ def adapt_steps(task: TaskModel, suite: ReconSuite, adaptors: AdaptorSet,
     if identity is not None and (identity.loss_weights != tuple(loss_weights)
                                  or not np.array_equal(identity.x, xt.data)):
         raise ValueError("identity step was built for another sample or other loss weights")
-    w_x, w_mid, w_y = loss_weights
     params = adaptors.trainable_params(omega)
     for p in params:
         p.requires_grad = True
@@ -344,24 +348,16 @@ def adapt_steps(task: TaskModel, suite: ReconSuite, adaptors: AdaptorSet,
             shared = step == 1 and identity is not None
             if shared:
                 ap = identity.adapted_pass(omega)
-            elif step < m_steps:
-                ap = _adapted_pass(task, suite, adaptors, omega,
-                                   adaptors.input_adaptor.forward(xt))
             else:
-                with T.no_grad():  # no backward follows the last pass
+                # no backward follows the last pass, so it runs off the tape
+                with T.no_grad() if step == m_steps else nullcontext():
                     ap = _adapted_pass(task, suite, adaptors, omega,
                                        adaptors.input_adaptor.forward(xt))
-            eps_y_val = ap.eps_y.item()
-            loss = T.scale(ap.eps_y, w_y)
-            loss = T.add(loss, T.scale(ap.eps_x, w_x))
-            for i in sorted(ap.eps_i):
-                loss = T.add(loss, T.scale(ap.eps_i[i], w_mid))
-            trace.steps.append(StepRecord(step=step, loss=loss.item(),
-                                          eps_x=ap.eps_x.item(),
-                                          eps_i={i: t.item() for i, t in ap.eps_i.items()},
-                                          eps_y=eps_y_val))
-            if eps_y_val < trace.best_eps_y:
-                trace.best_eps_y = eps_y_val
+            loss = functools.reduce(T.add, ap.loss_terms(loss_weights))
+            rec = StepRecord(step=step, loss=loss.item(), **vars(ap.errors()))
+            trace.steps.append(rec)
+            if rec.eps_y < trace.best_eps_y:
+                trace.best_eps_y = rec.eps_y
                 trace.best_step = step
                 trace.best_output = ap.trace.output.data.copy()
             if step < m_steps:
@@ -371,6 +367,7 @@ def adapt_steps(task: TaskModel, suite: ReconSuite, adaptors: AdaptorSet,
                 else:
                     backward(loss)
                 adam_step(params, adam)
+            del ap, loss  # free this step's tape before the next step builds its own
     except NumericError:
         trace.failed = True
     finally:

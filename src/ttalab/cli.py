@@ -11,7 +11,7 @@ import argparse
 import json
 import logging
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from .data import gen_dataset
@@ -22,9 +22,7 @@ from .pipeline import (RunConfig, RunConflict, arm_labels, calibrate_tau,
 from .search import STRATEGY_NAMES
 
 
-# flags named after a RunConfig field, and flags for a field of the data's shift
-_FLAG_FIELDS = ("workdir", "seed", "strategy", "percentile", "steps", "adaptor_lr",
-                "tau_transductive", "fs_faithful_pseudocode", "psnr_max", "dump_traces")
+# flags for a field of the data's shift (a flag named after a RunConfig field sets it)
 _SHIFT_FLAGS = {"noise_mult": "noise_mult", "shift_gamma": "gamma", "shift_blur": "blur"}
 
 
@@ -32,8 +30,8 @@ def _load_config(args) -> RunConfig:
     """The --config file, or the defaults, with every given flag on top."""
     cfg = RunConfig.from_dict(json.loads(Path(args.config).read_text())) if args.config \
         else RunConfig()
-    overrides = {key: getattr(args, key) for key in _FLAG_FIELDS
-                 if getattr(args, key, None) is not None}
+    overrides = {f.name: getattr(args, f.name) for f in fields(RunConfig)
+                 if getattr(args, f.name, None) is not None}
     shift = {field: getattr(args, flag) for flag, field in _SHIFT_FLAGS.items()
              if getattr(args, flag, None) is not None}
     if shift:

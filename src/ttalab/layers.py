@@ -53,6 +53,11 @@ def set_requires_grad(params: list[Tensor], flag: bool) -> None:
         p.requires_grad = flag
 
 
+def keyed_seed(seed: int, *key: int) -> int:
+    """A 32-bit seed of its own for each key under one base seed."""
+    return int(np.random.SeedSequence(entropy=seed, spawn_key=key).generate_state(1)[0])
+
+
 def params_checksum(params: list[Tensor]) -> str:
     """SHA-256 over the raw bytes of all parameters, in order."""
     h = hashlib.sha256()

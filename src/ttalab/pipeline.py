@@ -33,6 +33,8 @@ REPORT_COLUMNS = [
     "configs_evaluated", "adapt_steps_total", "forwards_total",
     "mae_base", "psnr_base", "ssim_base", "mae_tta", "psnr_tta", "ssim_tta",
 ]
+BUDGET_COLUMNS = ["sample_id", "triggered", "configs_evaluated", "adapt_steps_total",
+                  "forwards_total"]
 
 
 @dataclass(frozen=True)
@@ -306,10 +308,7 @@ def run_tta(cfg: RunConfig, task: TaskModel, suite: ReconSuite, dataset: Dataset
             "triggered": outcome.triggered,
             "omega": str(outcome.omega_star) if outcome.omega_star else "",
             "eps_unadapted": outcome.eps_unadapted, "eps_best": outcome.eps_best,
-            "configs_evaluated": outcome.budget.configs_evaluated,
-            "adapt_steps_total": outcome.budget.adapt_steps_total,
-            "forwards_total": outcome.budget.forwards_total,
-            "failed_configs": outcome.budget.failed_configs,
+            **vars(outcome.budget),
             "mae_base": mae_b, "psnr_base": psnr_b, "ssim_base": ssim_b,
             "mae_tta": mae_t, "psnr_tta": psnr_t, "ssim_tta": ssim_t,
         })
@@ -339,12 +338,13 @@ class RunReport:
     run_dir: Path
 
 
-def write_report_csv(rows: list[dict], path: Path) -> None:
+def write_csv(rows: list[dict], path: Path, columns: list[str]) -> None:
+    """rows projected onto columns; a row without one of them raises KeyError."""
     with open(path, "w", newline="") as f:
-        writer = csv.DictWriter(f, fieldnames=REPORT_COLUMNS)
+        writer = csv.DictWriter(f, fieldnames=columns)
         writer.writeheader()
         for r in rows:
-            writer.writerow({k: r[k] for k in REPORT_COLUMNS})
+            writer.writerow({k: r[k] for k in columns})
 
 
 def read_report_csv(path) -> list[dict]:
@@ -358,15 +358,6 @@ def read_report_csv(path) -> list[dict]:
                 r[key] = int(r[key]) if key.endswith(("_evaluated", "_total")) else float(r[key])
             rows.append(r)
     return rows
-
-
-def write_budget_csv(rows: list[dict], path: Path) -> None:
-    cols = ["sample_id", "triggered", "configs_evaluated", "adapt_steps_total", "forwards_total"]
-    with open(path, "w", newline="") as f:
-        writer = csv.DictWriter(f, fieldnames=cols)
-        writer.writeheader()
-        for r in rows:
-            writer.writerow({k: r[k] for k in cols})
 
 
 def build_summary(cfg: RunConfig, tau: float, rows: list[dict],
@@ -413,8 +404,8 @@ def pipeline_run(cfg: RunConfig) -> RunReport:
     trace_dir = run_dir / "traces" if cfg.dump_traces else None
     rows = stage("tta", run_tta, cfg, task, suite, dataset, tau, trace_dir=trace_dir)
     summary = build_summary(cfg, tau, rows, stage_seconds)
-    write_report_csv(rows, run_dir / "report.csv")
-    write_budget_csv(rows, run_dir / "budget.csv")
+    write_csv(rows, run_dir / "report.csv", REPORT_COLUMNS)
+    write_csv(rows, run_dir / "budget.csv", BUDGET_COLUMNS)
     (run_dir / "summary.json").write_text(json.dumps(summary, indent=2))
     manifest = {
         "schema_version": REPORT_SCHEMA_VERSION,
@@ -456,43 +447,28 @@ def arm_labels(configs: list[dict], run_names: list[str]) -> list[str]:
     return labels
 
 
-def _averaged_by_strategy(named_rows: list[tuple[str, list[dict]]]) -> dict[str, dict[str, dict]]:
-    """strategy -> sample_id -> averaged per-sample metrics (across repeat runs)."""
-    grouped: dict[str, list[list[dict]]] = {}
-    for name, rows in named_rows:
-        grouped.setdefault(name, []).append(rows)
-    out = {}
-    for name, runs in grouped.items():
-        ids = [r["sample_id"] for r in runs[0]]
-        idset = set(ids)
-        for rows in runs[1:]:
-            if {r["sample_id"] for r in rows} != idset:
-                raise ValueError(f"sample-id mismatch across runs of {name}")
-        by_id = [{r["sample_id"]: r for r in rows} for rows in runs]
-        merged = {}
-        for sid in ids:
-            merged[sid] = {m: float(np.nanmean([run[sid][f"{m}_tta"] for run in by_id]))
-                           for m in _COMPARE_METRICS}
-        out[name] = merged
-    return out
-
-
 def compare_strategies(named_rows: list[tuple[str, list[dict]]], alpha: float = 0.05) -> dict:
     """Pairwise Wilcoxon matrix over per-sample TTA metrics, Bonferroni-corrected.
 
-    named_rows: (arm label, report rows) per run; runs with the same label
-    (repeat seeds of one config, see arm_labels) are averaged per sample
-    before testing. m = number of strategy pairs; alpha_corr = alpha/m is
-    applied per metric family.
+    named_rows: (arm label, report rows) per run; every run must cover the
+    first run's sample ids. Runs with the same label (repeat seeds of one
+    config, see arm_labels) are averaged per sample before testing, into one
+    vector per arm and metric in sorted-id order. m = number of strategy
+    pairs; alpha_corr = alpha/m is applied per metric family.
     """
     if len(named_rows) < 2:
         raise ValueError("need at least two reports to compare")
-    per_strategy = _averaged_by_strategy(named_rows)
-    names = sorted(per_strategy)
-    base_ids = sorted(per_strategy[names[0]])
-    for name in names[1:]:
-        if sorted(per_strategy[name]) != base_ids:
-            raise ValueError("sample-id mismatch between strategies")
+    ids = sorted({r["sample_id"] for r in named_rows[0][1]})
+    arms: dict[str, list[dict[str, dict]]] = {}
+    for name, rows in named_rows:
+        by_id = {r["sample_id"]: r for r in rows}
+        if sorted(by_id) != ids:
+            raise ValueError(f"sample-id mismatch: a run of {name} covers other samples")
+        arms.setdefault(name, []).append(by_id)
+    vectors = {name: {m: [float(np.nanmean([run[sid][f"{m}_tta"] for run in runs]))
+                          for sid in ids] for m in _COMPARE_METRICS}
+               for name, runs in arms.items()}
+    names = sorted(vectors)
     pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1:]]
     if not pairs:
         raise ValueError("need at least two distinct strategies")
@@ -501,10 +477,8 @@ def compare_strategies(named_rows: list[tuple[str, list[dict]]], alpha: float = 
     for a, b in pairs:
         cell = {}
         for m in _COMPARE_METRICS:
-            va = [per_strategy[a][sid][m] for sid in base_ids]
-            vb = [per_strategy[b][sid][m] for sid in base_ids]
             try:
-                p = wilcoxon_signed_rank(va, vb)
+                p = wilcoxon_signed_rank(vectors[a][m], vectors[b][m])
                 cell[m] = {"p": p, "significant": p < alpha_corr}
             except ValueError as err:
                 cell[m] = {"p": None, "significant": False, "note": str(err)}

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .layers import ConvLayer, LayerSpec, TrainReport, params_checksum, train_epochs
+from .layers import ConvLayer, LayerSpec, TrainReport, keyed_seed, params_checksum, train_epochs
 from .tasknet import FeatureTrace, TaskModel, translate
 from .tensor import LrSchedule, Tensor
 
@@ -84,7 +84,7 @@ class ReconSuite:
         io = task.io_channels
         self.members: dict = {}
         self.trained: dict = {}
-        self.members["x"] = Autoencoder((io, size, size), seed=_member_seed(seed, 0))
+        self.members["x"] = Autoencoder((io, size, size), seed=keyed_seed(seed, 0))
         # probe the task model once to learn per-level shapes
         with T.no_grad():
             probe = translate(task, Tensor(np.zeros((io, size, size), dtype=np.float32)))
@@ -92,9 +92,9 @@ class ReconSuite:
             hi = probe.features[i].data.shape
             hm = probe.features[task.n_layers - i].data.shape
             shape = (hi[0] + hm[0], hi[1], hi[2])
-            self.members[i] = Autoencoder(shape, seed=_member_seed(seed, i))
+            self.members[i] = Autoencoder(shape, seed=keyed_seed(seed, i))
         self.members["y"] = Autoencoder((io, size, size),
-                                        seed=_member_seed(seed, self.num_levels + 1))
+                                        seed=keyed_seed(seed, self.num_levels + 1))
         for key in self.members:
             self.trained[key] = False
 
@@ -113,10 +113,6 @@ class ReconSuite:
     def member_error(self, key, value: Tensor) -> Tensor:
         """Taped scalar: mean-L1 between a tensor and its reconstruction."""
         return T.l1_distance(value, self.members[key].forward(value))
-
-
-def _member_seed(seed: int, index: int) -> int:
-    return int(np.random.SeedSequence(entropy=seed, spawn_key=(index,)).generate_state(1)[0])
 
 
 def train_autoencoder(ae: Autoencoder, tensors: list[np.ndarray], schedule: LrSchedule,

@@ -21,6 +21,7 @@ import numpy as np
 from . import tensor as T
 from .adaptors import (Configuration, IdentityStep, adapt_steps, identity_step,
                        init_adaptors)
+from .layers import keyed_seed
 from .recon import ReconSuite
 from .tasknet import TaskModel, translate
 from .tensor import Tensor
@@ -316,9 +317,7 @@ class AdaptEvaluator(_Objective):
         return self.task.num_levels
 
     def evaluate(self, omega: Configuration) -> ConfigEval:
-        seed = int(np.random.SeedSequence(
-            entropy=self.seed, spawn_key=(self.sample_index, omega.code())
-        ).generate_state(1)[0])
+        seed = keyed_seed(self.seed, self.sample_index, omega.code())
         if self.share_identity_step and self.m_steps > 1 and self._identity is None:
             self._identity = identity_step(self.task, self.suite, self.x, self.loss_weights)
         adaptors = init_adaptors(self.task, seed=seed, input_width=self.adaptor_width)

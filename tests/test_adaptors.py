@@ -1,4 +1,5 @@
 import contextlib
+import weakref
 
 import numpy as np
 import pytest
@@ -159,6 +160,23 @@ class TestAdaptSteps:
         assert trace.best_step == ref.best_step
         assert np.array_equal(trace.best_output, ref.best_output)
 
+    def test_each_step_frees_the_previous_tape(self, small_stack, monkeypatch):
+        ds, task, suite = small_stack
+        refs, alive = [], []
+        inner = A._adapted_pass
+
+        def recording(*args):
+            alive.append(sum(ref() is not None for ref in refs))
+            ap = inner(*args)
+            refs.append(weakref.ref(ap.eps_y.data))
+            return ap
+
+        monkeypatch.setattr(A, "_adapted_pass", recording)
+        adapt_steps(task, suite, init_adaptors(task, seed=0), Configuration.of([1, 2, 3]),
+                    sample_x(ds), m_steps=4)
+        # no earlier pass, and so no earlier tape, is alive when a forward starts
+        assert alive == [0, 0, 0, 0]
+
     def test_best_step_never_worse_than_first(self, small_stack):
         ds, task, suite = small_stack
         for idx, (x, _) in enumerate(ds.pairs("ood_test")[:4]):
@@ -291,6 +309,27 @@ class TestIdentityStep:
         with pytest.raises(ValueError, match="another sample"):
             adapt_steps(task, suite, init_adaptors(task), Configuration.of([1]), x2,
                         m_steps=2, identity=identity_step(task, suite, x1))
+
+
+WEIGHTED_OMEGAS = [Configuration.of([1]), Configuration.of([1, 3]), Configuration.of([1, 2, 3])]
+
+
+class TestWeightedIdentityStep:
+    """The shared step 1 takes the gradient of the loss that a taped step 1
+    records, with each weight paired with its own term."""
+
+    @pytest.mark.parametrize("omega", WEIGHTED_OMEGAS, ids=str)
+    def test_weighted_step_one_matches_taped(self, small_stack, omega):
+        ds, task, suite = small_stack
+        x = sample_x(ds)
+        weights = (0.5, 2.0, 1.5)
+        a, b = init_adaptors(task, seed=4), init_adaptors(task, seed=4)
+        taped = adapt_steps(task, suite, a, omega, x, m_steps=2, loss_weights=weights)
+        shared = adapt_steps(task, suite, b, omega, x, m_steps=2, loss_weights=weights,
+                             identity=identity_step(task, suite, x, weights))
+        assert shared.steps[0].to_dict() == taped.steps[0].to_dict()
+        for pa, pb in zip(a.trainable_params(omega), b.trainable_params(omega)):
+            assert np.abs(pa.data - pb.data).max() <= 1e-6 * np.abs(pa.data).max()
 
 
 class TestDualBlockAdaptors:

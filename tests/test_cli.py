@@ -1,7 +1,9 @@
 import json
+from dataclasses import replace
 
 import pytest
 
+import ttalab.cli as cli
 from ttalab.cli import main
 from ttalab.pipeline import RunConfig
 
@@ -186,3 +188,26 @@ def test_invalid_config_rejected_before_any_work(cli_workspace, tmp_path, capsys
     assert exit_info.value.code == 2
     assert "invalid config" in capsys.readouterr().err
     assert not (tmp_path / "w").exists()
+
+
+def test_every_field_flag_sets_its_field(cli_workspace, monkeypatch, tmp_path):
+    root, cfg_path = cli_workspace
+    seen = []
+    monkeypatch.setattr(cli, "_run", lambda args, cfg: seen.append(cfg) or 0)
+    fields = {"workdir": str(tmp_path / "elsewhere"), "seed": 11, "strategy": "tpe",
+              "percentile": 42.5, "steps": 3, "adaptor_lr": 0.02, "tau_transductive": True,
+              "fs_faithful_pseudocode": True, "psnr_max": "range", "dump_traces": True}
+    shift = {"noise_mult": 3.5, "gamma": 1.25, "blur": 0.75}
+    argv = ["run-tta", "--config", str(cfg_path),
+            "--workdir", fields["workdir"], "--seed", "11", "--strategy", "tpe",
+            "--percentile", "42.5", "--steps", "3", "--adaptor-lr", "0.02",
+            "--tau-transductive", "--fs-faithful-pseudocode", "--psnr-max", "range",
+            "--dump-traces", "--noise-mult", "3.5", "--shift-gamma", "1.25",
+            "--shift-blur", "0.75"]
+    assert main(argv) == 0
+    (cfg,) = seen
+    for name, value in fields.items():
+        assert getattr(cfg, name) == value, name
+    base = RunConfig.from_dict(json.loads(cfg_path.read_text()))
+    data = replace(base.data, shift=replace(base.data.shift, **shift))
+    assert cfg == base.with_overrides(data=data, **fields)

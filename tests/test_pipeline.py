@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import logging
@@ -194,6 +195,25 @@ class TestCompare:
         with pytest.raises(ValueError, match="mismatch"):
             compare_strategies([("a", report.rows), ("b", truncated)])
 
+    def test_shuffled_rows_compare_equal(self, tiny_run):
+        _, report = tiny_run
+        rng = np.random.default_rng(1)
+        rows_b = [dict(r) for r in report.rows]
+        for r in rows_b:
+            for m in ("mae_tta", "ssim_tta", "psnr_tta"):
+                r[m] += 0.01 * rng.standard_normal()
+        ref = compare_strategies([("a", report.rows), ("b", rows_b), ("b", report.rows)])
+        shuffled = [rows_b[i] for i in rng.permutation(len(rows_b))]
+        assert compare_strategies([("a", report.rows), ("b", shuffled),
+                                   ("b", report.rows)]) == ref
+
+    def test_repeat_run_over_other_samples_rejected(self, tiny_run):
+        _, report = tiny_run
+        other = [dict(r) for r in report.rows]
+        other[0]["sample_id"] = "not_in_the_first_run"
+        with pytest.raises(ValueError, match="mismatch"):
+            compare_strategies([("a", report.rows), ("b", report.rows), ("a", other)])
+
     def test_wilcoxon_csv_written(self, tiny_run, tmp_path):
         _, report = tiny_run
         rows_b = [dict(r) for r in report.rows]
@@ -204,6 +224,19 @@ class TestCompare:
         write_wilcoxon_csv(comparison, out)
         text = out.read_text()
         assert "alpha_corr" in text and "mae:" in text
+
+
+class TestReportFiles:
+    def test_budget_csv_is_report_csv_projected(self, tiny_run):
+        _, report = tiny_run
+        report_lines = (report.run_dir / "report.csv").read_text().splitlines()
+        budget_lines = (report.run_dir / "budget.csv").read_text().splitlines()
+        columns = ["sample_id", "triggered", "configs_evaluated", "adapt_steps_total",
+                   "forwards_total"]
+        assert budget_lines[0] == ",".join(columns)
+        assert len(budget_lines) == len(report_lines) == len(report.rows) + 1
+        for full, budget in zip(csv.DictReader(report_lines), csv.DictReader(budget_lines)):
+            assert budget == {k: full[k] for k in columns}
 
 
 class TestSummary:

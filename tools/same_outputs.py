@@ -8,9 +8,13 @@ bench_pairs.export, or a path to an existing checkout. In each, `ttalab
 pipeline` runs the config of tests/test_cli.py at percentile 60 with traces
 dumped: once per strategy, and once more for fs with
 --fs-faithful-pseudocode, in a workdir of its own because it shares fs's run
-directory name. Every report.csv, budget.csv and traces/*.json is then
-compared byte for byte. The tool names each file that differs or exists on
-one side only, and exits 1 if there is any.
+directory name. rand10 also runs at seeds 5 and 6, so that its arm averages
+three runs when `ttalab compare` then takes every run directory of that
+workdir; `ttalab evaluate` runs on each of those directories. Every
+report.csv, budget.csv and traces/*.json, the comparison's .csv and .json,
+and each evaluate stdout are then compared byte for byte. The tool names
+each file that differs or exists on one side only, and exits 1 if there is
+any.
 """
 
 from __future__ import annotations
@@ -39,7 +43,19 @@ CONFIG = {
 # (workdir, strategy, extra flags)
 RUNS = [("w", s, []) for s in ("grid", "rand10", "rand50", "fs", "be", "tpe", "static-all")]
 RUNS.append(("w-literal", "fs", ["--fs-faithful-pseudocode"]))
+RUNS += [("w", "rand10", ["--seed", str(seed)]) for seed in (5, 6)]
 MAIN = "import sys; from ttalab.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def ttalab(checkout: Path, *args: str) -> bytes:
+    """stdout of `ttalab ARGS` run from checkout's source; exits if the command fails."""
+    proc = subprocess.run([sys.executable, "-c", MAIN, *args], cwd=checkout,
+                          capture_output=True,
+                          env={**os.environ, "PYTHONPATH": str(checkout / "src")})
+    if proc.returncode != 0:
+        sys.exit(f"{checkout}: ttalab {' '.join(args)} failed "
+                 f"({proc.returncode}):\n{proc.stderr.decode()}")
+    return proc.stdout
 
 
 def run_all(checkout: Path, work: Path) -> dict[str, bytes]:
@@ -48,17 +64,17 @@ def run_all(checkout: Path, work: Path) -> dict[str, bytes]:
     work.mkdir(parents=True)
     cfg.write_text(json.dumps(CONFIG))
     for workdir, strategy, extra in RUNS:
-        cmd = [sys.executable, "-c", MAIN, "pipeline", "--config", str(cfg),
-               "--workdir", str(work / workdir), "--strategy", strategy,
-               "--percentile", "60", "--dump-traces", *extra]
-        proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
-                              env={**os.environ, "PYTHONPATH": str(checkout / "src")})
-        if proc.returncode != 0:
-            sys.exit(f"{checkout}: {strategy} {' '.join(extra)} failed "
-                     f"({proc.returncode}):\n{proc.stderr}")
-    files = [p for pattern in ("*/runs/*/report.csv", "*/runs/*/budget.csv",
-                               "*/runs/*/traces/*.json") for p in work.glob(pattern)]
-    return {str(p.relative_to(work)): p.read_bytes() for p in files}
+        ttalab(checkout, "pipeline", "--config", str(cfg), "--workdir", str(work / workdir),
+               "--strategy", strategy, "--percentile", "60", "--dump-traces", *extra)
+    run_dirs = sorted((work / "w" / "runs").iterdir())
+    ttalab(checkout, "compare", *map(str, run_dirs), "--out", str(work / "comparison"))
+    patterns = ("*/runs/*/report.csv", "*/runs/*/budget.csv", "*/runs/*/traces/*.json",
+                "comparison.*")
+    outputs = {str(p.relative_to(work)): p.read_bytes()
+               for pattern in patterns for p in work.glob(pattern)}
+    for d in run_dirs:
+        outputs[f"{d.relative_to(work)} (evaluate stdout)"] = ttalab(checkout, "evaluate", str(d))
+    return outputs
 
 
 def main() -> int:

@@ -325,8 +325,9 @@ def adapt_steps(task: TaskModel, suite: ReconSuite, adaptors: AdaptorSet,
     evaluates the identity-initialised adaptors, so the returned best-step
     eps_y can never exceed the unadapted error, and with M=1 the adaptors are
     left untouched. A numeric failure mid-run is recorded and the best
-    snapshot so far (or the unadapted output) stands; a failure only the
-    skipped M-th update would have hit is not recorded.
+    snapshot so far stands; a failure before the first record leaves no
+    snapshot (best_output None, best_step 0). A failure only the skipped
+    M-th update would have hit is not recorded.
 
     identity: the sample's shared step 1 from identity_step, for fresh
     adaptors. Step 1 then takes its record and gradient from it instead of a
@@ -373,13 +374,6 @@ def adapt_steps(task: TaskModel, suite: ReconSuite, adaptors: AdaptorSet,
     finally:
         for p in params:
             p.requires_grad = False
-    if trace.best_output is None:
-        # failure before the first record: fall back to the unadapted output
-        with T.no_grad():
-            unadapted = task.forward_trace(xt)
-            trace.best_eps_y = suite.member_error("y", unadapted.output).item()
-            trace.best_output = unadapted.output.data.copy()
-            trace.best_step = 0
     for rec in trace.steps:
         rec.chosen = rec.step == trace.best_step
     return trace

@@ -31,6 +31,14 @@ class ShiftParams:
     gamma: float = 1.0
     blur: float = 0.0
 
+    def __post_init__(self):
+        if self.noise_mult < 0:
+            raise ValueError("noise_mult must be non-negative")
+        if self.gamma <= 0:
+            raise ValueError("gamma must be positive")
+        if self.blur < 0:
+            raise ValueError("blur must be non-negative")
+
 
 @dataclass(frozen=True)
 class SyntheticTaskSpec:

@@ -77,21 +77,23 @@ class TrainReport:
         return len(self.epoch_losses) > 0 and self.epoch_losses[-1] < self.epoch_losses[0]
 
 
-def train_epochs(params: list[Tensor], columns: list[list[np.ndarray]], batch_loss,
+def train_epochs(params: list[Tensor], columns: list, batch_loss,
                  schedule: LrSchedule, seed: int, batch_size: int) -> TrainReport:
     """Adam over shuffled mini-batches; the task model and every recon member train here.
 
-    columns: per-sample arrays, one list per input of batch_loss, all of one
-    length; batch_loss(*batches) returns the taped scalar loss of one batch.
-    Shuffling is deterministic from (seed, epoch); the Adam lr follows the
-    schedule per epoch. Raises on an empty dataset.
+    columns: one per input of batch_loss, all of one length, each an [n, ...]
+    array or a list of n per-sample arrays; batches are taken from a float32
+    array without copying it, and a list is stacked once. batch_loss(*batches)
+    returns the taped scalar loss of one batch. Shuffling is deterministic
+    from (seed, epoch); the Adam lr follows the schedule per epoch. Raises on
+    an empty dataset.
     """
-    if len(columns[0]) == 0:
+    columns = [np.asarray(col, dtype=np.float32) for col in columns]
+    n = len(columns[0])
+    if n == 0:
         raise ValueError("empty dataset")
     set_requires_grad(params, True)
     adam = make_adam(params, schedule.base_lr)
-    stacked = [np.stack([np.asarray(a, dtype=np.float32) for a in col]) for col in columns]
-    n = len(stacked[0])
     report = TrainReport(seed=seed)
     for epoch in range(schedule.total_epochs):
         adam.lr = schedule.lr(epoch)
@@ -99,7 +101,7 @@ def train_epochs(params: list[Tensor], columns: list[list[np.ndarray]], batch_lo
         losses = []
         for start in range(0, n, batch_size):
             idx = order[start:start + batch_size]
-            loss = batch_loss(*(Tensor(data[idx]) for data in stacked))
+            loss = batch_loss(*(Tensor(col[idx]) for col in columns))
             zero_grads(params)
             T.backward(loss)
             adam_step(params, adam)

@@ -73,6 +73,21 @@ def concat_symmetric(trace: FeatureTrace, i: int, n_layers: int) -> Tensor:
     return T.concat_channels(a, b)
 
 
+def member_shapes(task: TaskModel) -> dict:
+    """Each member's [C, H, W] input shape, in member order: x, 1..k, y."""
+    io, size = task.io_channels, task.image_size
+    # probe the task model once to learn per-level shapes
+    with T.no_grad():
+        probe = translate(task, Tensor(np.zeros((io, size, size), dtype=np.float32)))
+    shapes: dict = {"x": (io, size, size)}
+    for i in range(1, task.num_levels + 1):
+        hi = probe.features[i].data.shape
+        hm = probe.features[task.n_layers - i].data.shape
+        shapes[i] = (hi[0] + hm[0], hi[1], hi[2])
+    shapes["y"] = (io, size, size)
+    return shapes
+
+
 class ReconSuite:
     """R_x, R_1..R_k, R_y for a given task model; frozen at TTA time."""
 
@@ -80,23 +95,9 @@ class ReconSuite:
         self.n_layers = task.n_layers
         self.num_levels = task.num_levels
         self.seed = seed
-        size = task.image_size
-        io = task.io_channels
-        self.members: dict = {}
-        self.trained: dict = {}
-        self.members["x"] = Autoencoder((io, size, size), seed=keyed_seed(seed, 0))
-        # probe the task model once to learn per-level shapes
-        with T.no_grad():
-            probe = translate(task, Tensor(np.zeros((io, size, size), dtype=np.float32)))
-        for i in range(1, self.num_levels + 1):
-            hi = probe.features[i].data.shape
-            hm = probe.features[task.n_layers - i].data.shape
-            shape = (hi[0] + hm[0], hi[1], hi[2])
-            self.members[i] = Autoencoder(shape, seed=keyed_seed(seed, i))
-        self.members["y"] = Autoencoder((io, size, size),
-                                        seed=keyed_seed(seed, self.num_levels + 1))
-        for key in self.members:
-            self.trained[key] = False
+        self.members = {key: Autoencoder(shape, seed=keyed_seed(seed, n))
+                        for n, (key, shape) in enumerate(member_shapes(task).items())}
+        self.trained = {key: False for key in self.members}
 
     def member_keys(self) -> list:
         return ["x"] + list(range(1, self.num_levels + 1)) + ["y"]
@@ -115,31 +116,34 @@ class ReconSuite:
         return T.l1_distance(value, self.members[key].forward(value))
 
 
-def train_autoencoder(ae: Autoencoder, tensors: list[np.ndarray], schedule: LrSchedule,
+def train_autoencoder(ae: Autoencoder, tensors, schedule: LrSchedule,
                       seed: int = 0, batch_size: int = 8) -> TrainReport:
-    """Train one member on its own level's tensors with an MSE objective."""
+    """Train one member on its own level's tensors with an MSE objective.
+
+    tensors: the level's [n, C, H, W] array, or a list of n [C, H, W] arrays.
+    """
     return train_epochs(ae.params(), [tensors], lambda xb: T.mse_loss(ae.forward(xb), xb),
                         schedule, seed, batch_size)
 
 
 def collect_level_tensors(task: TaskModel, dataset) -> dict:
-    """Gather per-member training tensors from the task model's training set.
+    """Gather each member's training tensors from the task model's training set.
 
     R_x sees the source images, each R_i the frozen model's concatenated
     level-i features, and R_y the target-domain images: the output-domain
     member learns the manifold translated outputs are supposed to live on.
+    dataset: a sequence of (x, y) pairs. Returns one float32 [n, C, H, W]
+    array per member, in member order, filled row by row during the one
+    translate pass over the dataset.
     """
-    k = task.num_levels
-    out: dict = {"x": [], "y": []}
-    for i in range(1, k + 1):
-        out[i] = []
+    out = {key: np.empty((len(dataset), *shape), dtype=np.float32)
+           for key, shape in member_shapes(task).items()}
     with T.no_grad():
-        for x, y in dataset:
+        for j, (x, y) in enumerate(dataset):
             trace = translate(task, Tensor(np.asarray(x, dtype=np.float32)))
-            out["x"].append(np.asarray(x, dtype=np.float32))
-            out["y"].append(np.asarray(y, dtype=np.float32))
-            for i in range(1, k + 1):
-                out[i].append(concat_symmetric(trace, i, task.n_layers).data)
+            out["x"][j], out["y"][j] = x, y
+            for i in range(1, task.num_levels + 1):
+                out[i][j] = concat_symmetric(trace, i, task.n_layers).data
     return out
 
 
@@ -152,11 +156,11 @@ def train_recon_suite(suite: ReconSuite, task: TaskModel, dataset, schedule: LrS
     """
     if task.trained_epochs == 0:
         raise ValueError("task model is untrained; train it before the suite")
-    level_data = collect_level_tensors(task, dataset)
+    columns = collect_level_tensors(task, dataset)
     reports = {}
     for key in suite.member_keys():
-        reports[key] = train_autoencoder(suite.members[key], level_data[key],
+        # pop: each column is released as soon as its member has trained
+        reports[key] = train_autoencoder(suite.members[key], columns.pop(key),
                                          schedule, seed=seed, batch_size=batch_size)
         suite.trained[key] = True
     return reports
-

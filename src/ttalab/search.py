@@ -295,7 +295,8 @@ class AdaptEvaluator(_Objective):
     depend on evaluation order or parallel schedule. With share_identity_step
     (and M > 1) the first evaluation builds the sample's identity step 1 once
     and every configuration's adapt_steps takes its step 1 from it; a search
-    of one configuration gains nothing from it.
+    of one configuration gains nothing from it. A configuration that fails
+    before its first step record yields the sample's unadapted pass.
     """
 
     task: TaskModel
@@ -311,6 +312,7 @@ class AdaptEvaluator(_Objective):
     trace_sink: list | None = None
     share_identity_step: bool = True
     _identity: IdentityStep | None = field(default=None, init=False, repr=False)
+    _unadapted: tuple[np.ndarray, float] | None = field(default=None, init=False, repr=False)
 
     @property
     def k(self) -> int:
@@ -324,6 +326,10 @@ class AdaptEvaluator(_Objective):
         trace = adapt_steps(self.task, self.suite, adaptors, omega, self.x,
                             self.m_steps, lr=self.adaptor_lr,
                             loss_weights=self.loss_weights, identity=self._identity)
+        if trace.best_output is None:  # failed before its first record
+            if self._unadapted is None:  # run_sample hands over its gate pass
+                self._unadapted = TtaRunner(task=self.task, suite=self.suite).unadapted(self.x)
+            trace.best_output, trace.best_eps_y = self._unadapted
         if self.trace_sink is not None:
             self.trace_sink.append(trace)
         return self._record(omega, ConfigEval(eps=trace.best_eps_y, output=trace.best_output),
@@ -379,6 +385,7 @@ class TtaRunner:
                              adaptor_lr=self.adaptor_lr, adaptor_width=self.adaptor_width,
                              loss_weights=self.loss_weights, trace_sink=trace_sink,
                              share_identity_step=strategy != "static-all")
+        ctx._unadapted = output, eps_unadapted
         if strategy == "grid":
             outcome = grid_search(ctx)
         elif strategy in ("rand10", "rand50"):

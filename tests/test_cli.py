@@ -148,6 +148,17 @@ def test_percentile_outside_range_rejected(cli_workspace, capsys, value):
     assert "not in (0, 100)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--noise-mult", "-1"), ("--shift-gamma", "0"), ("--shift-blur", "-0.5"),
+])
+def test_invalid_shift_flag_rejected(cli_workspace, capsys, flag, value):
+    _, cfg = cli_workspace
+    with pytest.raises(SystemExit) as exit_info:
+        main(["calibrate", "--config", str(cfg), flag, value])
+    assert exit_info.value.code == 2
+    assert "invalid config" in capsys.readouterr().err
+
+
 def test_unknown_strategy_flag_rejected(cli_workspace):
     _, cfg = cli_workspace
     with pytest.raises(SystemExit):

@@ -82,6 +82,15 @@ class TestSyntheticData:
         with pytest.raises(ValueError, match="kind"):
             tiny_spec(kind="superres")
 
+    @pytest.mark.parametrize("field, value", [
+        ("noise_mult", -0.5), ("gamma", 0.0), ("gamma", -1.0), ("blur", -0.1),
+    ])
+    def test_invalid_shift_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ShiftParams(**{field: value})
+        with pytest.raises(ValueError, match=field):
+            SyntheticTaskSpec.from_dict({"shift": {field: value}})
+
 
 class TestGaussianFilter:
     CASES = [((32, 32), 2.5), ((32, 32), 1.0), ((64, 48), 0.7), ((16, 16), 2.5),

@@ -300,6 +300,35 @@ class TestImageMetricsOnce:
         assert len(calls) == len(rows) + n_triggered
         assert rows == report.rows
 
+    def test_all_failing_sample_reuses_its_gate_pass(self, small_stack, tmp_path, monkeypatch):
+        ds, task, suite = small_stack
+        unadapted, metric_calls = [], []
+        forward, metrics = type(task).forward_trace, P._image_metrics
+
+        def counting_forward(model, x, feature_hook=None):
+            if feature_hook is None:  # adapted passes hook the level adaptors in
+                unadapted.append(x)
+            return forward(model, x, feature_hook)
+
+        def counting_metrics(output, target, psnr_max):
+            metric_calls.append(output)
+            return metrics(output, target, psnr_max)
+
+        def raising(*args, **kwargs):
+            raise NumericError("injected")
+
+        # conv2d_1x1 runs only in the level adaptors: every configuration fails at once
+        monkeypatch.setattr(T, "conv2d_1x1", raising)
+        monkeypatch.setattr(type(task), "forward_trace", counting_forward)
+        monkeypatch.setattr(P, "_image_metrics", counting_metrics)
+        cfg = RunConfig(workdir=str(tmp_path), strategy="grid", steps=3)
+        sid = ds.samples["ood_test"][0][0]
+        [row] = P.run_tta(cfg, task, suite, ds, tau=0.0, sample_ids={sid})
+        assert row["triggered"] and row["failed_configs"] == row["configs_evaluated"] == 7
+        assert row["eps_best"] == row["eps_unadapted"]
+        assert len(unadapted) == 1 and len(metric_calls) == 1
+        assert (row["mae_tta"], row["ssim_tta"]) == (row["mae_base"], row["ssim_base"])
+
 
 class TestTraces:
     def test_dump_traces_writes_json(self, tmp_path):

@@ -1,12 +1,18 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import ttalab.tensor as T
 from ttalab.adaptors import Configuration, adapted_forward, init_adaptors
+from ttalab.data import SyntheticTaskSpec, synthesize
+from ttalab.layers import params_checksum
 from ttalab.pipeline import calibration_errors
-from ttalab.recon import (Autoencoder, ReconSuite, concat_symmetric, train_autoencoder,
-                          train_recon_suite)
+from ttalab.recon import (Autoencoder, ReconSuite, collect_level_tensors, concat_symmetric,
+                          member_shapes, train_autoencoder, train_recon_suite)
 from ttalab.search import TtaRunner
-from ttalab.tasknet import TaskModel, translate
+from ttalab.tasknet import TaskModel, train_task, translate
 from ttalab.tensor import LrSchedule, Tensor
 
 rng = np.random.default_rng(17)
@@ -118,6 +124,68 @@ class TestReconSuite:
         for k in suite.member_keys():
             now = params_checksum(suite.members[k].params())
             assert (now == before[k]) == (k != "x")
+
+
+def traced_peak(fn, *args) -> int:
+    """Peak bytes traced while fn(*args) runs, over what was allocated before."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestTrainingColumns:
+    """Each member trains from one float32 [n, C, H, W] column, filled by the
+    one translate pass and never copied."""
+
+    def test_rows_match_the_translate_pass(self, small_stack):
+        ds, task, suite = small_stack
+        pairs = ds.pairs("train")[:6]
+        columns = collect_level_tensors(task, pairs)
+        assert list(columns) == suite.member_keys()
+        for key, col in columns.items():
+            assert col.dtype == np.float32 and col.flags.c_contiguous
+            assert col.shape == (len(pairs), *suite.members[key].in_shape)
+        for j, (x, y) in enumerate(pairs):
+            with T.no_grad():
+                trace = translate(task, Tensor(x))
+            rows = {"x": x, "y": y, **{i: concat_symmetric(trace, i, task.n_layers).data
+                                       for i in range(1, task.num_levels + 1)}}
+            for key, row in rows.items():
+                assert columns[key][j].tobytes() == np.ascontiguousarray(row).tobytes()
+
+    def test_stacked_and_listed_columns_train_alike(self, small_stack):
+        ds, task, suite = small_stack
+        col = collect_level_tensors(task, ds.pairs("train")[:12])[1]
+        before = col.copy()
+        # per-sample features come channels-last, as the translate pass makes them
+        listed = [np.ascontiguousarray(a.transpose(1, 2, 0)).transpose(2, 0, 1) for a in col]
+        a, b = (Autoencoder(suite.members[1].in_shape, seed=3) for _ in range(2))
+        ra = train_autoencoder(a, col, LrSchedule(1e-3, 1, 2), seed=5, batch_size=5)
+        rb = train_autoencoder(b, listed, LrSchedule(1e-3, 1, 2), seed=5, batch_size=5)
+        assert ra.epoch_losses == rb.epoch_losses
+        assert params_checksum(a.params()) == params_checksum(b.params())
+        assert np.array_equal(col, before)
+
+    def test_suite_keeps_one_copy_of_each_column(self):
+        # the benchmark's stack: 64 pairs, the default 7-layer 32x32 model
+        pairs = synthesize(SyntheticTaskSpec(train=64, calib=1, id_test=1, ood_test=1,
+                                             seed=5)).pairs("train")
+        task = TaskModel(seed=0)
+        schedule = LrSchedule(1e-3, 1, 0)
+        train_task(task, pairs, schedule)
+        shapes = member_shapes(task)
+        columns = [len(pairs) * 4 * math.prod(shape) for shape in shapes.values()]
+        r = np.random.default_rng(0)
+        # one member's training (tape, batches, Adam state) on one batch of rows
+        training = max(traced_peak(train_autoencoder, Autoencoder(shape, seed=1),
+                                   r.normal(size=(8, *shape)).astype(np.float32), schedule)
+                       for shape in shapes.values())
+        peak = traced_peak(train_recon_suite, ReconSuite(task, seed=0), task, pairs, schedule)
+        # a second copy of the largest column (R_1's, 8 MB) would cross this
+        assert peak < sum(columns) + training + max(columns) / 2
 
 
 class TestShiftErrors:

@@ -3,6 +3,7 @@ import pytest
 
 import ttalab.tensor as T
 from ttalab.data import SyntheticTaskSpec, synthesize
+from ttalab.layers import train_epochs
 from ttalab.tasknet import TaskModel, default_layer_plan, train_task, translate
 from ttalab.tensor import LrSchedule, Tensor
 
@@ -90,6 +91,20 @@ class TestTrainTask:
         model = TaskModel(image_size=16, seed=0)
         report = train_task(model, ds.pairs("train"), LrSchedule(2e-4, 3, 0), seed=0)
         assert report.lr_by_epoch == [2e-4, 2e-4, 2e-4]
+
+    def test_stacked_columns_train_as_the_pair_list(self):
+        spec = SyntheticTaskSpec(train=12, calib=1, id_test=1, ood_test=1,
+                                 image_size=16, seed=15)
+        pairs = synthesize(spec).pairs("train")
+        listed, stacked = TaskModel(image_size=16, seed=0), TaskModel(image_size=16, seed=0)
+        schedule = LrSchedule(2e-4, 2, 1)
+        ra = train_task(listed, pairs, schedule, seed=3, batch_size=5)
+        rb = train_epochs(stacked.params(), [np.stack([x for x, _ in pairs]),
+                                             np.stack([y for _, y in pairs])],
+                          lambda xb, yb: T.l1_distance(stacked.forward_trace(xb).output, yb),
+                          schedule, 3, 5)
+        assert ra.epoch_losses == rb.epoch_losses
+        assert listed.checksum() == stacked.checksum()
 
     def test_empty_dataset(self):
         model = TaskModel(seed=0)

@@ -12,9 +12,11 @@ directory name. rand10 also runs at seeds 5 and 6, so that its arm averages
 three runs when `ttalab compare` then takes every run directory of that
 workdir; `ttalab evaluate` runs on each of those directories. Every
 report.csv, budget.csv and traces/*.json, the comparison's .csv and .json,
-and each evaluate stdout are then compared byte for byte. The tool names
-each file that differs or exists on one side only, and exits 1 if there is
-any.
+and each evaluate stdout are then compared byte for byte, as are the set-up
+artifacts they rest on: each run manifest's task_checksum and
+suite_checksum, and each workdir's dataset content_sha256 (data/index.json).
+The tool names each output that differs or exists on one side only, and
+exits 1 if there is any.
 """
 
 from __future__ import annotations
@@ -44,6 +46,9 @@ CONFIG = {
 RUNS = [("w", s, []) for s in ("grid", "rand10", "rand50", "fs", "be", "tpe", "static-all")]
 RUNS.append(("w-literal", "fs", ["--fs-faithful-pseudocode"]))
 RUNS += [("w", "rand10", ["--seed", str(seed)]) for seed in (5, 6)]
+# set-up artifacts, by file pattern: the fields that do not name the workdir
+SETUP_FIELDS = {"*/runs/*/manifest.json": ("task_checksum", "suite_checksum"),
+                "*/data/index.json": ("content_sha256",)}
 MAIN = "import sys; from ttalab.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
@@ -72,6 +77,11 @@ def run_all(checkout: Path, work: Path) -> dict[str, bytes]:
                 "comparison.*")
     outputs = {str(p.relative_to(work)): p.read_bytes()
                for pattern in patterns for p in work.glob(pattern)}
+    for pattern, keys in SETUP_FIELDS.items():
+        for p in work.glob(pattern):
+            record = json.loads(p.read_text())
+            outputs.update({f"{p.relative_to(work)} {key}": record[key].encode()
+                            for key in keys})
     for d in run_dirs:
         outputs[f"{d.relative_to(work)} (evaluate stdout)"] = ttalab(checkout, "evaluate", str(d))
     return outputs
@@ -96,7 +106,7 @@ def main() -> int:
             f"only in {'parent' if name in parent else 'change'}"
         print(f"{name}: {where}")
     same = sum(change.get(name) == blob for name, blob in parent.items())
-    print(f"{same} files byte-identical, {len(differing)} differing")
+    print(f"{same} outputs byte-identical, {len(differing)} differing")
     return 1 if differing else 0
 
 

@@ -15,7 +15,6 @@ from .search import (AdaptEvaluator, SearchBudget, SearchOutcome, TtaRunner,
 from .tasknet import FeatureTrace, TaskModel, train_task, translate
 from .tensor import (AdamState, LrSchedule, NumericError, TapeError, Tensor,
                      adam_step, backward, conv2d, conv2d_1x1, l1_distance,
-                     make_adam, mse_loss, no_grad, read_tnsr, write_tnsr,
-                     zero_grads)
+                     make_adam, mse_loss, no_grad, zero_grads)
 
 __version__ = "0.1.0"

@@ -9,6 +9,7 @@ slightly negative values are possible and are surfaced by the harness.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,6 +64,7 @@ def ssim(y_hat, y, c1: float = 0.01 ** 2, c2: float = 0.03 ** 2) -> float:
 # Wilcoxon signed-rank (two-sided) + Bonferroni
 
 _EXACT_LIMIT = 25
+_MIN_NONZERO = 5
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
@@ -115,6 +117,7 @@ def _normal_approx_two_sided(ranks: np.ndarray, w_plus: float) -> float:
 def wilcoxon_signed_rank(paired_a, paired_b) -> float:
     """Two-sided p-value for the paired signed-rank test.
 
+    Every difference must be finite: a NaN or infinite one has no rank.
     Zero differences are dropped; at least 5 must remain. The null
     distribution is exact (sign enumeration) for n <= 25 and a tie- and
     continuity-corrected normal approximation beyond.
@@ -124,16 +127,33 @@ def wilcoxon_signed_rank(paired_a, paired_b) -> float:
     if a.ndim != 1 or a.shape != b.shape:
         raise ValueError(f"need equal-length 1-D samples, got {a.shape} vs {b.shape}")
     d = a - b
+    non_finite = int(np.count_nonzero(~np.isfinite(d)))
+    if non_finite:
+        raise ValueError(f"{non_finite} non-finite differences of {d.size}")
     d = d[d != 0.0]
     if d.size == 0:
         raise ValueError("all differences zero")
-    if d.size < 5:
-        raise ValueError(f"need >= 5 non-zero differences, got {d.size}")
+    if d.size < _MIN_NONZERO:
+        raise ValueError(f"need >= {_MIN_NONZERO} non-zero differences, got {d.size}")
     ranks = _average_ranks(np.abs(d))
     w_plus = float(ranks[d > 0].sum())
     if d.size <= _EXACT_LIMIT:
         return _exact_two_sided(ranks, w_plus)
     return _normal_approx_two_sided(ranks, w_plus)
+
+
+def untested_label(note: str) -> str:
+    """A short, space-free reason for the ValueError note of an untested pair:
+    all-zero, n=<count><5 for too few non-zero differences, non-finite, or
+    else untested."""
+    if note == "all differences zero":
+        return "all-zero"
+    too_few = re.fullmatch(r"need >= (\d+) non-zero differences, got (\d+)", note)
+    if too_few:
+        return f"n={too_few[2]}<{too_few[1]}"
+    if "non-finite" in note:
+        return "non-finite"
+    return "untested"
 
 
 def bonferroni(p_values, alpha: float) -> list[tuple[float, bool]]:

@@ -19,7 +19,8 @@ import numpy as np
 
 from .checkpoint import load_suite, load_task, save_suite, save_task
 from .data import Dataset, SyntheticTaskSpec, from_json, gen_dataset, load_dataset
-from .metrics import MetricsReport, SampleMetrics, mae, psnr, ssim, wilcoxon_signed_rank
+from .metrics import (MetricsReport, SampleMetrics, mae, psnr, ssim, untested_label,
+                      wilcoxon_signed_rank)
 from .recon import ReconSuite, train_recon_suite
 from .search import STRATEGY_NAMES, TtaRunner, calibrate_threshold
 from .tasknet import TaskModel, train_task
@@ -506,7 +507,7 @@ def write_wilcoxon_csv(comparison: dict, path: Path) -> None:
                 for m in _COMPARE_METRICS:
                     entry = cell[m]
                     if entry["p"] is None:
-                        parts.append(f"{m}:all-zero")
+                        parts.append(f"{m}:{untested_label(entry['note'])}")
                     else:
                         flag = "*" if entry["significant"] else ""
                         parts.append(f"{m}:{entry['p']:.4g}{flag}")

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import tensor as T
 from .layers import ConvLayer, LayerSpec, TrainReport, keyed_seed, params_checksum, train_epochs
-from .tasknet import FeatureTrace, TaskModel, translate
+from .tasknet import FeatureTrace, TaskModel
 from .tensor import LrSchedule, Tensor
 
 
@@ -76,14 +76,10 @@ def concat_symmetric(trace: FeatureTrace, i: int, n_layers: int) -> Tensor:
 def member_shapes(task: TaskModel) -> dict:
     """Each member's [C, H, W] input shape, in member order: x, 1..k, y."""
     io, size = task.io_channels, task.image_size
-    # probe the task model once to learn per-level shapes
-    with T.no_grad():
-        probe = translate(task, Tensor(np.zeros((io, size, size), dtype=np.float32)))
     shapes: dict = {"x": (io, size, size)}
     for i in range(1, task.num_levels + 1):
-        hi = probe.features[i].data.shape
-        hm = probe.features[task.n_layers - i].data.shape
-        shapes[i] = (hi[0] + hm[0], hi[1], hi[2])
+        c, h, w = task.feature_shape(i)
+        shapes[i] = (c + task.channels_at(task.n_layers - i), h, w)
     shapes["y"] = (io, size, size)
     return shapes
 
@@ -126,25 +122,29 @@ def train_autoencoder(ae: Autoencoder, tensors, schedule: LrSchedule,
                         schedule, seed, batch_size)
 
 
-def collect_level_tensors(task: TaskModel, dataset) -> dict:
-    """Gather each member's training tensors from the task model's training set.
+def collect_level_tensors(task: TaskModel, dataset, key) -> np.ndarray:
+    """One member's training tensors from the task model's training set.
 
     R_x sees the source images, each R_i the frozen model's concatenated
     level-i features, and R_y the target-domain images: the output-domain
     member learns the manifold translated outputs are supposed to live on.
-    dataset: a sequence of (x, y) pairs. Returns one float32 [n, C, H, W]
-    array per member, in member order, filled row by row during the one
-    translate pass over the dataset.
+    dataset: a sequence of (x, y) pairs. Returns the member's float32
+    [n, C, H, W] array, filled row by row: x and y straight from the pairs,
+    level i from a forward pass that stops at depth n-i, the deepest
+    feature R_i reads.
     """
-    out = {key: np.empty((len(dataset), *shape), dtype=np.float32)
-           for key, shape in member_shapes(task).items()}
+    column = np.empty((len(dataset), *member_shapes(task)[key]), dtype=np.float32)
     with T.no_grad():
         for j, (x, y) in enumerate(dataset):
-            trace = translate(task, Tensor(np.asarray(x, dtype=np.float32)))
-            out["x"][j], out["y"][j] = x, y
-            for i in range(1, task.num_levels + 1):
-                out[i][j] = concat_symmetric(trace, i, task.n_layers).data
-    return out
+            if key == "x":
+                column[j] = x
+            elif key == "y":
+                column[j] = y
+            else:
+                trace = task.forward_trace(Tensor(np.asarray(x, dtype=np.float32)),
+                                           depth=task.n_layers - key)
+                column[j] = concat_symmetric(trace, key, task.n_layers).data
+    return column
 
 
 def train_recon_suite(suite: ReconSuite, task: TaskModel, dataset, schedule: LrSchedule,
@@ -156,11 +156,12 @@ def train_recon_suite(suite: ReconSuite, task: TaskModel, dataset, schedule: LrS
     """
     if task.trained_epochs == 0:
         raise ValueError("task model is untrained; train it before the suite")
-    columns = collect_level_tensors(task, dataset)
     reports = {}
     for key in suite.member_keys():
-        # pop: each column is released as soon as its member has trained
-        reports[key] = train_autoencoder(suite.members[key], columns.pop(key),
+        # one column at a time: each is built just before its member trains
+        # and released once it has
+        reports[key] = train_autoencoder(suite.members[key],
+                                         collect_level_tensors(task, dataset, key),
                                          schedule, seed=seed, batch_size=batch_size)
         suite.trained[key] = True
     return reports

@@ -82,22 +82,34 @@ class TaskModel:
     def channels_at(self, depth: int) -> int:
         return self.layers[depth - 1].spec.out_ch
 
-    def forward_trace(self, x: Tensor, feature_hook=None) -> FeatureTrace:
+    def feature_shape(self, depth: int) -> tuple[int, int, int]:
+        """[C, H, W] of h_depth, from the layer plan's conv arithmetic."""
+        size = self.image_size
+        for spec in (layer.spec for layer in self.layers[:depth]):
+            size *= 2 if spec.upsample else 1
+            size = (size + 2 * (spec.kernel // 2) - spec.kernel) // spec.stride + 1
+        return self.channels_at(depth), size, size
+
+    def forward_trace(self, x: Tensor, feature_hook=None, depth: int | None = None) -> FeatureTrace:
         """Forward pass recording every tap; feature_hook(depth, h) -> h may
         replace an intermediate feature (depths 1..n-1) before propagation.
 
         Depths k+1..n-1 add their mirror encoder feature h_{n-depth} after the
         activation (the hook, when present, has already run on the mirror).
+        With depth d the pass stops after layer d: the trace holds h_1..h_d,
+        bitwise those of the full pass, and its output is h_d.
         """
+        if depth is not None and not 1 <= depth <= self.n_layers:
+            raise ValueError(f"depth out of range: {depth} not in 1..{self.n_layers}")
         h = x
         features: dict[int, Tensor] = {}
-        for depth, layer in enumerate(self.layers, start=1):
+        for d, layer in enumerate(self.layers[:depth], start=1):
             h = layer.forward(h)
-            if 2 * depth > self.n_layers and depth < self.n_layers:
-                h = T.add(h, features[self.n_layers - depth])
-            if feature_hook is not None and depth < self.n_layers:
-                h = feature_hook(depth, h)
-            features[depth] = h
+            if 2 * d > self.n_layers and d < self.n_layers:
+                h = T.add(h, features[self.n_layers - d])
+            if feature_hook is not None and d < self.n_layers:
+                h = feature_hook(d, h)
+            features[d] = h
         return FeatureTrace(features=features, output=h)
 
     def config_dict(self) -> dict:

@@ -441,6 +441,7 @@ def _upsampled_conv_grads(g4: np.ndarray, x4: np.ndarray, kernel: Tensor, stride
     gz = _dilated_grad(g4, kh, kw, stride, padding, 2 * h, 2 * w)
     rows = gz[:, :, :-1] + gz[:, :, 1:]
     box = rows[..., :-1] + rows[..., 1:]
+    del gz, rows  # hold one fine-grid temporary, not three, through the GEMM
     dx, cols = _correlate(box, _kernel_matrix(kernel, 1), kh, kw, 2)
     dk = None
     if kernel.requires_grad:
@@ -788,16 +789,6 @@ def tnsr_bytes(array: np.ndarray) -> bytes:
         raise ValueError("rank too large for TNSR")
     return (_TNSR_MAGIC + struct.pack("<BB", _TNSR_VERSION, arr.ndim)
             + struct.pack(f"<{arr.ndim}I", *arr.shape) + arr.tobytes())
-
-
-def write_tnsr(path, array: np.ndarray) -> None:
-    with open(path, "wb") as f:
-        f.write(tnsr_bytes(array))
-
-
-def read_tnsr(path) -> np.ndarray:
-    with open(path, "rb") as f:
-        return parse_tnsr(f.read(), path)
 
 
 def parse_tnsr(blob: bytes, path="<bytes>") -> np.ndarray:

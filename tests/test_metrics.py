@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ttalab.metrics import (MetricsReport, SampleMetrics, bonferroni, mae, psnr,
-                            ssim, wilcoxon_signed_rank)
+                            ssim, untested_label, wilcoxon_signed_rank)
 
 rng = np.random.default_rng(99)
 
@@ -133,6 +133,24 @@ class TestWilcoxon:
         b[0] += 1.0
         with pytest.raises(ValueError, match=">= 5"):
             wilcoxon_signed_rank(a, b)
+
+    def test_non_finite_differences_rejected(self):
+        with pytest.raises(ValueError, match="6 non-finite differences of 6"):
+            wilcoxon_signed_rank(np.full(6, np.nan), np.arange(6.0))
+        a, b = np.arange(1.0, 8.0) + 0.5, np.arange(1.0, 8.0)
+        a[3], b[5] = np.nan, np.inf
+        with pytest.raises(ValueError, match="2 non-finite differences of 7"):
+            wilcoxon_signed_rank(a, b)
+
+    def test_untested_labels(self):
+        notes = {}
+        for a, b in [(np.ones(6), np.ones(6)), (np.arange(6.0) + [1, 1, 1, 0, 0, 0], np.arange(6.0)),
+                     (np.full(6, np.nan), np.arange(6.0))]:
+            with pytest.raises(ValueError) as err:
+                wilcoxon_signed_rank(a, b)
+            notes[str(err.value)] = untested_label(str(err.value))
+        assert list(notes.values()) == ["all-zero", "n=3<5", "non-finite"]
+        assert untested_label("something else") == "untested"
 
     def test_n6_all_positive(self):
         a = np.arange(1.0, 7.0) + 0.5

@@ -180,6 +180,21 @@ class TestCompare:
         cell = comparison["cells"]["grid|rand10"]
         assert cell["mae"]["p"] is None  # averaged back to equality
 
+    @pytest.mark.filterwarnings("ignore:Mean of empty slice")
+    def test_non_finite_cell_untested(self, tiny_run):
+        _, report = tiny_run
+        rows_a = [dict(r) for r in report.rows]
+        rows_b = [dict(r) for r in report.rows]
+        for r in rows_b:
+            r["mae_tta"] += 0.05
+            r["psnr_tta"] += 1.0
+        rows_a[0]["psnr_tta"] = float("nan")  # NaN in every run of arm a
+        comparison = compare_strategies([("a", rows_a), ("b", rows_b), ("a", rows_a)])
+        cell = comparison["cells"]["a|b"]
+        assert cell["mae"]["p"] is not None
+        assert cell["psnr"] == {"p": None, "significant": False,
+                                "note": f"1 non-finite differences of {len(rows_a)}"}
+
     def test_arms_group_repeat_seeds_only(self, tiny_run):
         cfg, _ = tiny_run
         runs = {"grid_s0": dict(strategy="grid", seed=0),
@@ -224,6 +239,25 @@ class TestCompare:
         write_wilcoxon_csv(comparison, out)
         text = out.read_text()
         assert "alpha_corr" in text and "mae:" in text
+
+
+    @pytest.mark.filterwarnings("ignore:Mean of empty slice")
+    def test_wilcoxon_csv_says_why_untested(self, tiny_run, tmp_path):
+        _, report = tiny_run
+        rows_a = [dict(r) for r in report.rows[:10]]
+        rows_b = [dict(r) for r in rows_a]
+        for r in rows_b[:3]:  # the arms differ on 3 of 10 samples
+            for m in ("mae_tta", "ssim_tta", "psnr_tta"):
+                r[m] += 0.05
+        rows_b[5]["psnr_tta"] = float("nan")
+        comparison = compare_strategies([("a", rows_a), ("b", rows_b),
+                                         ("c", [dict(r) for r in rows_a])])
+        out = tmp_path / "w.csv"
+        write_wilcoxon_csv(comparison, out)
+        rows = {row[0]: row[1:] for row in csv.reader(out.read_text().splitlines())}
+        assert rows["a"] == ["-", "ssim:n=3<5 mae:n=3<5 psnr:non-finite",
+                             "ssim:all-zero mae:all-zero psnr:all-zero"]
+        assert "need >= 5 non-zero differences, got 3" in json.dumps(comparison)
 
 
 class TestReportFiles:

@@ -137,14 +137,13 @@ def traced_peak(fn, *args) -> int:
 
 
 class TestTrainingColumns:
-    """Each member trains from one float32 [n, C, H, W] column, filled by the
-    one translate pass and never copied."""
+    """Each member trains from one float32 [n, C, H, W] column, built just
+    before it trains and never copied."""
 
     def test_rows_match_the_translate_pass(self, small_stack):
         ds, task, suite = small_stack
         pairs = ds.pairs("train")[:6]
-        columns = collect_level_tensors(task, pairs)
-        assert list(columns) == suite.member_keys()
+        columns = {key: collect_level_tensors(task, pairs, key) for key in suite.member_keys()}
         for key, col in columns.items():
             assert col.dtype == np.float32 and col.flags.c_contiguous
             assert col.shape == (len(pairs), *suite.members[key].in_shape)
@@ -158,7 +157,7 @@ class TestTrainingColumns:
 
     def test_stacked_and_listed_columns_train_alike(self, small_stack):
         ds, task, suite = small_stack
-        col = collect_level_tensors(task, ds.pairs("train")[:12])[1]
+        col = collect_level_tensors(task, ds.pairs("train")[:12], 1)
         before = col.copy()
         # per-sample features come channels-last, as the translate pass makes them
         listed = [np.ascontiguousarray(a.transpose(1, 2, 0)).transpose(2, 0, 1) for a in col]
@@ -186,6 +185,24 @@ class TestTrainingColumns:
         peak = traced_peak(train_recon_suite, ReconSuite(task, seed=0), task, pairs, schedule)
         # a second copy of the largest column (R_1's, 8 MB) would cross this
         assert peak < sum(columns) + training + max(columns) / 2
+
+    def test_suite_holds_one_column_at_a_time(self):
+        # the benchmark's stack, as in test_suite_keeps_one_copy_of_each_column
+        pairs = synthesize(SyntheticTaskSpec(train=64, calib=1, id_test=1, ood_test=1,
+                                             seed=5)).pairs("train")
+        task = TaskModel(seed=0)
+        schedule = LrSchedule(1e-3, 1, 0)
+        train_task(task, pairs, schedule)
+        shapes = member_shapes(task)
+        largest = len(pairs) * 4 * max(math.prod(shape) for shape in shapes.values())
+        r = np.random.default_rng(0)
+        training = max(traced_peak(train_autoencoder, Autoencoder(shape, seed=1),
+                                   r.normal(size=(8, *shape)).astype(np.float32), schedule)
+                       for shape in shapes.values())
+        peak = traced_peak(train_recon_suite, ReconSuite(task, seed=0), task, pairs, schedule)
+        # R_2's and R_3's columns (4 and 2 MB) held beside R_1's (8 MB) would
+        # cross this
+        assert peak < largest + training + 2 ** 20
 
 
 class TestShiftErrors:

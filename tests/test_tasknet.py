@@ -25,6 +25,31 @@ class TestArchitecture:
             b = trace.features[n - i].data.shape
             assert a == b, f"depth {i} vs {n - i}: {a} vs {b}"
 
+    @pytest.mark.parametrize("n", [5, 6, 7, 8, 9])
+    def test_depth_limited_pass_matches_full(self, n):
+        model = TaskModel(n_layers=n, image_size=32, seed=1)
+        x = make_input()
+        full = translate(model, x)
+        for d in range(1, n + 1):
+            part = model.forward_trace(x, depth=d)
+            assert list(part.features) == list(range(1, d + 1))
+            for i, h in part.features.items():
+                assert h.data.tobytes() == full.features[i].data.tobytes()
+            assert part.output is part.features[d]
+
+    def test_depth_out_of_range_rejected(self):
+        model = TaskModel(n_layers=5, image_size=32, seed=1)
+        for d in (0, 6):
+            with pytest.raises(ValueError, match="depth out of range"):
+                model.forward_trace(make_input(), depth=d)
+
+    @pytest.mark.parametrize("n,size", [(5, 16), (6, 32), (7, 16), (7, 32), (8, 32), (9, 64)])
+    def test_feature_shape_matches_the_pass(self, n, size):
+        model = TaskModel(n_layers=n, image_size=size, seed=1)
+        trace = translate(model, make_input(size))
+        for d, h in trace.features.items():
+            assert model.feature_shape(d) == h.data.shape
+
     def test_output_shape_and_range(self):
         model = TaskModel(seed=2)
         out = translate(model, make_input()).output.data

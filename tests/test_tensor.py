@@ -6,7 +6,7 @@ import pytest
 import ttalab.tensor as T
 from ttalab.tensor import (LrSchedule, NumericError, TapeError, Tensor, adam_step,
                            backward, conv2d, conv2d_1x1, l1_distance, make_adam,
-                           mse_loss, read_tnsr, write_tnsr, zero_grads)
+                           mse_loss, parse_tnsr, tnsr_bytes, zero_grads)
 
 rng = np.random.default_rng(12345)
 
@@ -613,33 +613,24 @@ class TestDeterminism:
 
 
 class TestTnsrFormat:
-    def test_round_trip(self, tmp_path):
+    def test_round_trip(self):
         arr = rng.normal(size=(3, 4, 5)).astype(np.float32)
-        path = tmp_path / "a.tnsr"
-        write_tnsr(path, arr)
-        back = read_tnsr(path)
+        back = parse_tnsr(tnsr_bytes(arr))
         assert back.dtype == np.float32
         assert np.array_equal(back, arr)
 
-    def test_scalar_and_rank1(self, tmp_path):
+    def test_scalar_and_rank1(self):
         for arr in (np.float32(3.5), np.arange(7, dtype=np.float32)):
-            path = tmp_path / "b.tnsr"
-            write_tnsr(path, np.asarray(arr))
-            assert np.array_equal(read_tnsr(path), np.asarray(arr))
+            assert np.array_equal(parse_tnsr(tnsr_bytes(np.asarray(arr))), np.asarray(arr))
 
-    def test_truncated_payload(self, tmp_path):
-        path = tmp_path / "c.tnsr"
-        write_tnsr(path, np.ones((4, 4), np.float32))
-        blob = path.read_bytes()
-        path.write_bytes(blob[:-8])
+    def test_truncated_payload(self):
+        blob = tnsr_bytes(np.ones((4, 4), np.float32))
         with pytest.raises(ValueError, match="corrupt|truncated"):
-            read_tnsr(path)
+            parse_tnsr(blob[:-8])
 
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "d.tnsr"
-        path.write_bytes(b"NOPE" + b"\x00" * 16)
+    def test_bad_magic(self):
         with pytest.raises(ValueError, match="magic"):
-            read_tnsr(path)
+            parse_tnsr(b"NOPE" + b"\x00" * 16)
 
 
 def _old_input_grad(g4, k, stride, padding, h, w):

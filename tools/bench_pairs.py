@@ -11,6 +11,10 @@ WORKLOAD@SEED. Each run lasts BENCHMARK.json's run_seconds. Pair i of 10
 runs `ttabench/run.py` once on each side, the parent first on even i and the
 change first on odd i, so a drift in host speed lands on both sides alike.
 
+The record's header names the environment variables that shape a run: every
+MALLOC_* variable that is set, and the BLAS thread counts, bytecode and hash
+seed variables (null where unset). The runs inherit them.
+
 The record keeps the raw info and result line of every run and, per workload,
 seed and end-to-end metric of BENCHMARK.json: both medians, the parent's
 quartiles (statistics.quantiles with n=4), the change/parent ratio of the
@@ -27,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import shutil
 import statistics
 import subprocess
@@ -37,6 +42,8 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 PAIRS = 10
 STDERR_TAIL_LINES = 40
+RUN_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+           "PYTHONDONTWRITEBYTECODE", "PYTHONHASHSEED")
 
 
 def export(rev: str, into: Path) -> Path:
@@ -48,6 +55,12 @@ def export(rev: str, into: Path) -> Path:
                              check=True, capture_output=True).stdout
     subprocess.run(["tar", "-x", "-C", str(into)], input=archive, check=True)
     return into
+
+
+def run_env() -> dict:
+    """The set MALLOC_* variables and RUN_ENV's variables (None where unset)."""
+    env = {k: os.environ.get(k) for k in RUN_ENV}
+    return env | {k: v for k, v in sorted(os.environ.items()) if k.startswith("MALLOC_")}
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -93,7 +106,7 @@ def main() -> int:
         sides = {"parent": export(args.parent, scratch / "parent"),
                  "change": export(args.change, scratch / "change")}
         record = {"parent": args.parent, "change": args.change, "seconds": seconds,
-                  "pairs": PAIRS, "results": []}
+                  "pairs": PAIRS, "env": run_env(), "results": []}
 
         def save() -> None:
             Path(args.out).write_text(json.dumps(record, indent=1) + "\n")

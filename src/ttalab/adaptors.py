@@ -64,32 +64,21 @@ class InputAdaptor:
 
 
 class LevelAdaptor:
-    """1x1 channel map applied at depth i and its mirror n-i.
+    """1x1 channel map applied at depth i and at its mirror n-i, which the
+    layer plan gives the same channel count: one block serves both."""
 
-    When both placements have the same channel count a single parameter block
-    is shared across them; otherwise two blocks sit under one selector bit.
-    """
-
-    def __init__(self, ch_enc: int, ch_dec: int):
-        self.shared = ch_enc == ch_dec
-        self._blocks = [self._identity_block(ch_enc)]
-        if not self.shared:
-            self._blocks.append(self._identity_block(ch_dec))
-
-    @staticmethod
-    def _identity_block(c: int) -> tuple[Tensor, Tensor]:
-        w = np.eye(c, dtype=np.float32).reshape(c, c, 1, 1)
-        return Tensor(w), Tensor(np.zeros(c, dtype=np.float32))
+    def __init__(self, channels: int):
+        self.weight = Tensor(np.eye(channels, dtype=np.float32).reshape(channels, channels, 1, 1))
+        self.bias = Tensor(np.zeros(channels, dtype=np.float32))
 
     def params(self) -> list[Tensor]:
-        return [t for blk in self._blocks for t in blk]
+        return [self.weight, self.bias]
 
     def param_count(self) -> int:
-        return sum(t.data.size for t in self.params())
+        return self.weight.data.size + self.bias.data.size
 
-    def forward(self, h: Tensor, placement: int) -> Tensor:
-        w, b = self._blocks[0 if self.shared else placement]
-        return T.conv2d_1x1(h, w, b)
+    def forward(self, h: Tensor) -> Tensor:
+        return T.conv2d_1x1(h, self.weight, self.bias)
 
 
 class AdaptorSet:
@@ -97,14 +86,10 @@ class AdaptorSet:
 
     def __init__(self, task: TaskModel, seed: int = 0, input_width: int = 8):
         rng = np.random.default_rng(seed)
-        self.seed = seed
-        self.n_layers = task.n_layers
         self.num_levels = task.num_levels
         self.input_adaptor = InputAdaptor(task.io_channels, input_width, rng)
-        self.level_adaptors: dict[int, LevelAdaptor] = {}
-        for i in range(1, task.num_levels + 1):
-            self.level_adaptors[i] = LevelAdaptor(task.channels_at(i),
-                                                  task.channels_at(task.n_layers - i))
+        self.level_adaptors = {i: LevelAdaptor(task.channels_at(i))
+                               for i in range(1, task.num_levels + 1)}
 
     def params(self) -> list[Tensor]:
         out = self.input_adaptor.params()
@@ -155,14 +140,10 @@ def _adapted_pass(task: TaskModel, suite: ReconSuite, adaptors: AdaptorSet,
     active = omega.active
     if max(active) > adaptors.num_levels:
         raise ValueError(f"configuration {omega} exceeds {adaptors.num_levels} levels")
-    mirrors = {task.n_layers - i: i for i in active}
+    at_depth = {d: adaptors.level_adaptors[i] for i in active for d in (i, task.n_layers - i)}
 
     def hook(depth: int, h: Tensor) -> Tensor:
-        if depth in active:
-            return adaptors.level_adaptors[depth].forward(h, placement=0)
-        if depth in mirrors:
-            return adaptors.level_adaptors[mirrors[depth]].forward(h, placement=1)
-        return h
+        return at_depth[depth].forward(h) if depth in at_depth else h
 
     trace = task.forward_trace(x_a, feature_hook=hook)
     eps_x = suite.member_error("x", x_a)
@@ -177,7 +158,7 @@ def _adapted_pass(task: TaskModel, suite: ReconSuite, adaptors: AdaptorSet,
 def adapted_forward(task: TaskModel, suite: ReconSuite, adaptors: AdaptorSet,
                     omega: Configuration, x) -> tuple[FeatureTrace, ShiftErrors]:
     """Forward pass with omega's level adaptors active; errors for active levels only."""
-    xt = x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float32))
+    xt = Tensor(np.asarray(x, dtype=np.float32))
     with T.no_grad():
         ap = _adapted_pass(task, suite, adaptors, omega, adaptors.input_adaptor.forward(xt))
     return ap.trace, ap.errors()
@@ -335,7 +316,7 @@ def adapt_steps(task: TaskModel, suite: ReconSuite, adaptors: AdaptorSet,
     """
     if m_steps < 1:
         raise ValueError("m_steps must be >= 1")
-    xt = x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float32))
+    xt = Tensor(np.asarray(x, dtype=np.float32))
     if identity is not None and (identity.loss_weights != tuple(loss_weights)
                                  or not np.array_equal(identity.x, xt.data)):
         raise ValueError("identity step was built for another sample or other loss weights")

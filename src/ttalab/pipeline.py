@@ -83,6 +83,11 @@ class RunConfig:
             raise ValueError(f"percentile {self.percentile} is not in (0, 100)")
         if not 5 <= self.n_layers <= 9:
             raise ValueError(f"n_layers must be in 5..9, got {self.n_layers}")
+        # level k = (n_layers-1)//2 is image_size/2^(k-1) wide; its recon member halves it twice
+        size_step = 2 ** ((self.n_layers - 1) // 2 + 1)
+        if self.data.image_size % size_step != 0:
+            raise ValueError(f"data.image_size {self.data.image_size} must be divisible by "
+                             f"{size_step} with n_layers {self.n_layers}")
         for name in ("base_channels", "max_channels", "batch_size", "steps",
                      "adaptor_width", "tpe_start", "tpe_candidates"):
             if getattr(self, name) < 1:
@@ -448,6 +453,12 @@ def arm_labels(configs: list[dict], run_names: list[str]) -> list[str]:
     return labels
 
 
+def _nanmean(values: list[float]) -> float:
+    """np.nanmean, but NaN without numpy's empty-slice warning when every value is NaN."""
+    values = np.asarray(values, dtype=np.float64)
+    return float(np.nanmean(values)) if not np.isnan(values).all() else float("nan")
+
+
 def compare_strategies(named_rows: list[tuple[str, list[dict]]], alpha: float = 0.05) -> dict:
     """Pairwise Wilcoxon matrix over per-sample TTA metrics, Bonferroni-corrected.
 
@@ -466,7 +477,7 @@ def compare_strategies(named_rows: list[tuple[str, list[dict]]], alpha: float = 
         if sorted(by_id) != ids:
             raise ValueError(f"sample-id mismatch: a run of {name} covers other samples")
         arms.setdefault(name, []).append(by_id)
-    vectors = {name: {m: [float(np.nanmean([run[sid][f"{m}_tta"] for run in runs]))
+    vectors = {name: {m: [_nanmean([run[sid][f"{m}_tta"] for run in runs])
                           for sid in ids] for m in _COMPARE_METRICS}
                for name, runs in arms.items()}
     names = sorted(vectors)

@@ -291,45 +291,40 @@ def _bit_density(configs, k: int) -> np.ndarray:
 class AdaptEvaluator(_Objective):
     """Objective that evaluates a configuration with fresh adaptors + M steps.
 
-    Adaptor init RNG is keyed by (seed, sample_index, omega) so results do not
+    The model, suite and adaptation settings are the runner's. Adaptor init
+    RNG is keyed by (runner.seed, sample_index, omega) so results do not
     depend on evaluation order or parallel schedule. With share_identity_step
     (and M > 1) the first evaluation builds the sample's identity step 1 once
     and every configuration's adapt_steps takes its step 1 from it; a search
     of one configuration gains nothing from it. A configuration that fails
-    before its first step record yields the sample's unadapted pass.
+    before its first step record yields gate, the sample's unadapted
+    (output, eps_y).
     """
 
-    task: TaskModel
-    suite: ReconSuite
+    runner: TtaRunner
     x: np.ndarray
-    m_steps: int
-    seed: int = 0
+    gate: tuple[np.ndarray, float]
     sample_index: int = 0
-    adaptor_lr: float = 3e-4
-    adaptor_width: int = 8
-    loss_weights: tuple[float, float, float] = (1.0, 1.0, 1.0)
     budget: SearchBudget = field(default_factory=SearchBudget)
     trace_sink: list | None = None
     share_identity_step: bool = True
     _identity: IdentityStep | None = field(default=None, init=False, repr=False)
-    _unadapted: tuple[np.ndarray, float] | None = field(default=None, init=False, repr=False)
 
     @property
     def k(self) -> int:
-        return self.task.num_levels
+        return self.runner.task.num_levels
 
     def evaluate(self, omega: Configuration) -> ConfigEval:
-        seed = keyed_seed(self.seed, self.sample_index, omega.code())
-        if self.share_identity_step and self.m_steps > 1 and self._identity is None:
-            self._identity = identity_step(self.task, self.suite, self.x, self.loss_weights)
-        adaptors = init_adaptors(self.task, seed=seed, input_width=self.adaptor_width)
-        trace = adapt_steps(self.task, self.suite, adaptors, omega, self.x,
-                            self.m_steps, lr=self.adaptor_lr,
-                            loss_weights=self.loss_weights, identity=self._identity)
+        r = self.runner
+        seed = keyed_seed(r.seed, self.sample_index, omega.code())
+        if self.share_identity_step and r.m_steps > 1 and self._identity is None:
+            self._identity = identity_step(r.task, r.suite, self.x, r.loss_weights)
+        adaptors = init_adaptors(r.task, seed=seed, input_width=r.adaptor_width)
+        trace = adapt_steps(r.task, r.suite, adaptors, omega, self.x, r.m_steps,
+                            lr=r.adaptor_lr, loss_weights=r.loss_weights,
+                            identity=self._identity)
         if trace.best_output is None:  # failed before its first record
-            if self._unadapted is None:  # run_sample hands over its gate pass
-                self._unadapted = TtaRunner(task=self.task, suite=self.suite).unadapted(self.x)
-            trace.best_output, trace.best_eps_y = self._unadapted
+            trace.best_output, trace.best_eps_y = self.gate
         if self.trace_sink is not None:
             self.trace_sink.append(trace)
         return self._record(omega, ConfigEval(eps=trace.best_eps_y, output=trace.best_output),
@@ -379,13 +374,10 @@ class TtaRunner:
             return SearchOutcome(omega_star=None, eps_best=eps_unadapted, output=output,
                                  budget=SearchBudget(), triggered=False,
                                  base_output=output, eps_unadapted=eps_unadapted)
-        ctx = AdaptEvaluator(task=self.task, suite=self.suite,
-                             x=np.asarray(x, dtype=np.float32), m_steps=self.m_steps,
-                             seed=self.seed, sample_index=sample_index,
-                             adaptor_lr=self.adaptor_lr, adaptor_width=self.adaptor_width,
-                             loss_weights=self.loss_weights, trace_sink=trace_sink,
+        ctx = AdaptEvaluator(runner=self, x=np.asarray(x, dtype=np.float32),
+                             gate=(output, eps_unadapted), sample_index=sample_index,
+                             trace_sink=trace_sink,
                              share_identity_step=strategy != "static-all")
-        ctx._unadapted = output, eps_unadapted
         if strategy == "grid":
             outcome = grid_search(ctx)
         elif strategy in ("rand10", "rand50"):

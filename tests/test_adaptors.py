@@ -9,7 +9,7 @@ import ttalab.tensor as T
 from ttalab.adaptors import (Configuration, adapt_steps, adapted_forward,
                              identity_step, init_adaptors)
 from ttalab.search import TtaRunner
-from ttalab.tasknet import translate
+from ttalab.tasknet import TaskModel, translate
 from ttalab.tensor import Tensor
 
 
@@ -63,8 +63,18 @@ class TestInitAdaptors:
         _, task, _ = small_stack
         adaptors = init_adaptors(task, seed=0)
         for i, la in adaptors.level_adaptors.items():
-            assert la.shared == (task.channels_at(i) == task.channels_at(task.n_layers - i))
-            assert la.shared  # default plan has equal mirror channels
+            c = task.channels_at(i)
+            assert la.params() == [la.weight, la.bias]
+            assert la.weight.shape == (c, c, 1, 1) and la.bias.shape == (c,)
+            assert adaptors.param_count(i) == c * c + c
+
+    @pytest.mark.parametrize("n_layers", [5, 6, 7, 8, 9])
+    @pytest.mark.parametrize("base_channels, max_channels", [(16, 64), (4, 8), (3, 100)])
+    def test_mirror_depths_have_equal_channels(self, n_layers, base_channels, max_channels):
+        task = TaskModel(n_layers=n_layers, base_channels=base_channels,
+                         max_channels=max_channels)
+        for i in range(1, task.num_levels + 1):
+            assert task.channels_at(i) == task.channels_at(n_layers - i)
 
 
 class TestAdaptedForward:
@@ -75,11 +85,11 @@ class TestAdaptedForward:
         adaptors = init_adaptors(task, seed=0)
         base, _ = adapted_forward(task, suite, adaptors, omega, x)
         # perturbing an inactive adaptor must not change the output
-        adaptors.level_adaptors[2]._blocks[0][0].data += 0.7
+        adaptors.level_adaptors[2].weight.data += 0.7
         after, _ = adapted_forward(task, suite, adaptors, omega, x)
         assert np.array_equal(base.output.data, after.output.data)
         # perturbing the active adaptor must change it
-        adaptors.level_adaptors[1]._blocks[0][0].data += 0.3
+        adaptors.level_adaptors[1].weight.data += 0.3
         changed, _ = adapted_forward(task, suite, adaptors, omega, x)
         assert not np.array_equal(base.output.data, changed.output.data)
 
@@ -330,16 +340,3 @@ class TestWeightedIdentityStep:
         assert shared.steps[0].to_dict() == taped.steps[0].to_dict()
         for pa, pb in zip(a.trainable_params(omega), b.trainable_params(omega)):
             assert np.abs(pa.data - pb.data).max() <= 1e-6 * np.abs(pa.data).max()
-
-
-class TestDualBlockAdaptors:
-    def test_unequal_mirror_channels_two_blocks(self):
-        la_shared = __import__("ttalab.adaptors", fromlist=["LevelAdaptor"]).LevelAdaptor(16, 16)
-        assert la_shared.shared and len(la_shared._blocks) == 1
-        la_dual = __import__("ttalab.adaptors", fromlist=["LevelAdaptor"]).LevelAdaptor(16, 24)
-        assert not la_dual.shared and len(la_dual._blocks) == 2
-        assert la_dual.param_count() == (16 * 16 + 16) + (24 * 24 + 24)
-        x16 = Tensor(np.random.default_rng(0).normal(size=(16, 4, 4)).astype(np.float32))
-        x24 = Tensor(np.random.default_rng(1).normal(size=(24, 4, 4)).astype(np.float32))
-        assert np.array_equal(la_dual.forward(x16, 0).data, x16.data)
-        assert np.array_equal(la_dual.forward(x24, 1).data, x24.data)

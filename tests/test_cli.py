@@ -201,6 +201,31 @@ def test_invalid_config_rejected_before_any_work(cli_workspace, tmp_path, capsys
     assert not (tmp_path / "w").exists()
 
 
+@pytest.mark.parametrize("n_layers, image_size", [(7, 24), (9, 16), (5, 12), (8, 40)])
+def test_image_size_the_recon_suite_cannot_encode_rejected(cli_workspace, tmp_path, capsys,
+                                                           n_layers, image_size):
+    _, cfg = cli_workspace
+    bad = json.loads(cfg.read_text())
+    bad.update(workdir=str(tmp_path / "w"), n_layers=n_layers,
+               data={**bad["data"], "image_size": image_size})
+    with pytest.raises(ValueError, match="data.image_size .* n_layers"):
+        RunConfig.from_dict(bad)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(bad))
+    with pytest.raises(SystemExit) as exit_info:
+        main(["train-task", "--config", str(path)])
+    assert exit_info.value.code == 2
+    assert "invalid config" in capsys.readouterr().err
+    assert not (tmp_path / "w").exists()
+
+
+@pytest.mark.parametrize("n_layers, image_size", [(5, 8), (6, 16), (7, 16), (7, 32), (8, 48),
+                                                  (9, 32)])
+def test_image_size_the_recon_suite_can_encode_accepted(n_layers, image_size):
+    cfg = RunConfig(n_layers=n_layers, data=replace(RunConfig().data, image_size=image_size))
+    assert (cfg.n_layers, cfg.data.image_size) == (n_layers, image_size)
+
+
 def test_every_field_flag_sets_its_field(cli_workspace, monkeypatch, tmp_path):
     root, cfg_path = cli_workspace
     seen = []

@@ -180,7 +180,6 @@ class TestCompare:
         cell = comparison["cells"]["grid|rand10"]
         assert cell["mae"]["p"] is None  # averaged back to equality
 
-    @pytest.mark.filterwarnings("ignore:Mean of empty slice")
     def test_non_finite_cell_untested(self, tiny_run):
         _, report = tiny_run
         rows_a = [dict(r) for r in report.rows]
@@ -241,7 +240,6 @@ class TestCompare:
         assert "alpha_corr" in text and "mae:" in text
 
 
-    @pytest.mark.filterwarnings("ignore:Mean of empty slice")
     def test_wilcoxon_csv_says_why_untested(self, tiny_run, tmp_path):
         _, report = tiny_run
         rows_a = [dict(r) for r in report.rows[:10]]

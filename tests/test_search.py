@@ -408,8 +408,10 @@ class TestSharedIdentityStep:
     @staticmethod
     def evaluator(small_stack, share: bool) -> AdaptEvaluator:
         ds, task, suite = small_stack
-        return AdaptEvaluator(task=task, suite=suite, x=ds.pairs("ood_test")[0][0], m_steps=3,
-                              seed=0, sample_index=2, trace_sink=[], share_identity_step=share)
+        runner = TtaRunner(task=task, suite=suite, m_steps=3, seed=0)
+        x = ds.pairs("ood_test")[0][0]
+        return AdaptEvaluator(runner=runner, x=x, gate=runner.unadapted(x), sample_index=2,
+                              trace_sink=[], share_identity_step=share)
 
     def test_grid_matches_taped_step_one(self, small_stack, monkeypatch):
         built = _counting(monkeypatch, S, "identity_step")
@@ -571,8 +573,9 @@ class TestEveryConfigurationFailing:
     def test_evaluate_returns_the_unadapted_pass(self, small_stack, broken_level_adaptors):
         ds, task, suite = small_stack
         x = ds.pairs("ood_test")[0][0]
-        output, eps_unadapted = TtaRunner(task=task, suite=suite).unadapted(x)
-        ctx = AdaptEvaluator(task=task, suite=suite, x=x, m_steps=2)
+        runner = TtaRunner(task=task, suite=suite, m_steps=2)
+        output, eps_unadapted = runner.unadapted(x)
+        ctx = AdaptEvaluator(runner=runner, x=x, gate=(output, eps_unadapted))
         for omega in enumerate_configurations(ctx.k):
             ev = ctx.evaluate(omega)
             assert math.isfinite(ev.eps) and ev.eps == eps_unadapted
@@ -589,3 +592,12 @@ class TestEveryConfigurationFailing:
         assert out.budget.failed_configs == out.budget.configs_evaluated >= 1
         assert out.eps_best == out.eps_unadapted
         assert np.array_equal(out.output, out.base_output)
+
+    @pytest.mark.parametrize("strategy", S.STRATEGY_NAMES)
+    def test_run_sample_gates_once(self, small_stack, broken_level_adaptors, monkeypatch,
+                                   strategy):
+        ds, task, suite = small_stack
+        gates = _counting(monkeypatch, TtaRunner, "unadapted")
+        TtaRunner(task=task, suite=suite, m_steps=2).run_sample(ds.pairs("ood_test")[0][0],
+                                                               strategy, tau=0.0)
+        assert gates == ["unadapted"]

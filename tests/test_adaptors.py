@@ -93,6 +93,20 @@ class TestAdaptedForward:
         changed, _ = adapted_forward(task, suite, adaptors, omega, x)
         assert not np.array_equal(base.output.data, changed.output.data)
 
+    @pytest.mark.parametrize("level", [1, 2, 3])
+    def test_level_adaptor_acts_at_depth_i_and_its_mirror(self, small_stack, level):
+        ds, task, suite = small_stack
+        adaptors = init_adaptors(task, seed=0)
+        la = adaptors.level_adaptors[level]
+        la.weight.data = np.zeros_like(la.weight.data)  # the map's output is its bias
+        la.bias.data = np.arange(1, la.bias.data.size + 1, dtype=np.float32)
+        trace, _ = adapted_forward(task, suite, adaptors, Configuration.of([level]),
+                                   sample_x(ds))
+        mirror = task.n_layers - level
+        bias_map = np.broadcast_to(la.bias.data[:, None, None], trace.features[level].shape)
+        for d, h in trace.features.items():
+            assert np.array_equal(h.data, bias_map) == (d in (level, mirror)), d
+
     def test_shape_preservation(self, small_stack):
         ds, task, suite = small_stack
         x = sample_x(ds)

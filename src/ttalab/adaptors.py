@@ -74,9 +74,6 @@ class LevelAdaptor:
     def params(self) -> list[Tensor]:
         return [self.weight, self.bias]
 
-    def param_count(self) -> int:
-        return self.weight.data.size + self.bias.data.size
-
     def forward(self, h: Tensor) -> Tensor:
         return T.conv2d_1x1(h, self.weight, self.bias)
 
@@ -91,20 +88,11 @@ class AdaptorSet:
         self.level_adaptors = {i: LevelAdaptor(task.channels_at(i))
                                for i in range(1, task.num_levels + 1)}
 
-    def params(self) -> list[Tensor]:
-        out = self.input_adaptor.params()
-        for i in sorted(self.level_adaptors):
-            out.extend(self.level_adaptors[i].params())
-        return out
-
     def trainable_params(self, omega: Configuration) -> list[Tensor]:
         out = self.input_adaptor.params()
         for i in omega.active:
             out.extend(self.level_adaptors[i].params())
         return out
-
-    def param_count(self, level: int) -> int:
-        return self.level_adaptors[level].param_count()
 
 
 def init_adaptors(task: TaskModel, seed: int = 0, input_width: int = 8) -> AdaptorSet:

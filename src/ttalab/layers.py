@@ -72,10 +72,6 @@ class TrainReport:
     lr_by_epoch: list[float] = field(default_factory=list)
     seed: int = 0
 
-    @property
-    def improved(self) -> bool:
-        return len(self.epoch_losses) > 0 and self.epoch_losses[-1] < self.epoch_losses[0]
-
 
 def train_epochs(params: list[Tensor], columns: list, batch_loss,
                  schedule: LrSchedule, seed: int, batch_size: int) -> TrainReport:

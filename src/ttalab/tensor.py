@@ -4,8 +4,23 @@ The op set is the minimum closure needed by the networks in this package:
 conv2d (incl. stride-2 downsampling), 1x1 conv, nearest-neighbour upsample,
 LeakyReLU / tanh / sigmoid, channel concat, broadcasted add/mul, L1 and MSE,
 plus conv_layer, which runs upsample, conv2d, bias and activation as one node.
-Everything is float32; any NaN/Inf produced by an op raises NumericError
-instead of propagating.
+Everything is float32.
+
+Numeric contract: a NaN/Inf raises NumericError at the next saturating
+activation, generic op, loss or leaf gradient, within the same step (forward
+pass, or backward pass). Each value is checked once, where a non-finite
+value could vanish. Under IEEE arithmetic inf and NaN carry through the
+convolutions' GEMMs, bias adds, LeakyReLU, upsample and concat (even
+inf * 0 is NaN), so conv2d, conv2d_1x1, upsample_nearest, concat_channels and
+conv_layer without tanh leave their outputs unchecked. tanh and sigmoid map
++-inf to finite values, so they check their input, and conv_layer checks its
+biased value before a tanh; a strided conv checks the input rows and columns
+that no window reads. The generic ops (add, mul, scale, reshape, tensor_sum,
+leaky_relu), the losses and adam_step check their results. backward checks
+each leaf gradient once, after the sweep, and concat_channels checks the
+share of its gradient that belongs to a constant operand, which it drops.
+A value that reaches none of these (a feature of a forward_trace stopped
+early, say) is checked where it is next used on the tape.
 
 Convolutions canonically take a single sample [C,H,W]; a leading batch axis
 [B,C,H,W] is accepted everywhere and treated independently per sample.
@@ -115,14 +130,20 @@ def _check_finite(arr: np.ndarray, op: str) -> None:
         raise NumericError(f"non-finite values produced by {op}")
 
 
-def _from_op(data: np.ndarray, parents: tuple[Tensor, ...], backward, op: str) -> Tensor:
-    data = np.asarray(data, dtype=np.float32)
-    _check_finite(data, op)
+def _node(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
+    """The op's output, on the tape if any parent is; its value is not checked."""
     out = Tensor(data)
     if _GRAD_ENABLED and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = parents
         out._backward = backward
+    return out
+
+
+def _from_op(data: np.ndarray, parents: tuple[Tensor, ...], backward, op: str) -> Tensor:
+    """The output of a generic op or a loss, whose value is checked."""
+    out = _node(data, parents, backward)
+    _check_finite(out.data, op)
     return out
 
 
@@ -208,23 +229,25 @@ def leaky_relu(a: Tensor, slope: float = 0.2) -> Tensor:
 
 
 def tanh(a: Tensor) -> Tensor:
+    _check_finite(a.data, "tanh")  # tanh maps +-inf to +-1
     data = np.tanh(a.data)
 
     def bwd(out: Tensor) -> None:
         if a.requires_grad:
             a._accumulate(out.grad * (1.0 - data * data))
 
-    return _from_op(data, (a,), bwd, "tanh")
+    return _node(data, (a,), bwd)
 
 
 def sigmoid(a: Tensor) -> Tensor:
+    _check_finite(a.data, "sigmoid")  # sigmoid maps -inf to 0 and +inf to 1
     data = 1.0 / (1.0 + np.exp(-a.data))
 
     def bwd(out: Tensor) -> None:
         if a.requires_grad:
             a._accumulate(out.grad * data * (1.0 - data))
 
-    return _from_op(data, (a,), bwd, "sigmoid")
+    return _node(data, (a,), bwd)
 
 
 def _nhwc(x: np.ndarray) -> np.ndarray:
@@ -246,13 +269,13 @@ def concat_channels(a: Tensor, b: Tensor) -> Tensor:
     split = a.data.shape[axis]
 
     def bwd(out: Tensor) -> None:
-        ga, gb = np.split(out.grad, [split], axis=axis)
-        if a.requires_grad:
-            a._accumulate(ga)
-        if b.requires_grad:
-            b._accumulate(gb)
+        for operand, g in zip((a, b), np.split(out.grad, [split], axis=axis)):
+            if operand.requires_grad:
+                operand._accumulate(g)
+            else:  # a constant's share of the gradient ends here
+                _check_finite(g, "concat_channels backward")
 
-    return _from_op(data, (a, b), bwd, "concat_channels")
+    return _node(data, (a, b), bwd)
 
 
 def _upsample(x: np.ndarray, factor: int) -> np.ndarray:
@@ -286,7 +309,7 @@ def upsample_nearest(a: Tensor, factor: int = 2) -> Tensor:
         if a.requires_grad:
             a._accumulate(_upsample_grad(out.grad, factor))
 
-    return _from_op(data, (a,), bwd, "upsample_nearest")
+    return _node(data, (a,), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -474,6 +497,12 @@ def conv2d(input: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> 
     wo = (w + 2 * padding - kw) // stride + 1
     if ho < 1 or wo < 1:
         raise ValueError(f"non-positive output size {ho}x{wo}")
+    # a strided window grid can stop short of the input's last rows and
+    # columns, and a NaN/Inf that no window reads would vanish
+    read_h, read_w = stride * (ho - 1) + kh - padding, stride * (wo - 1) + kw - padding
+    if read_h < h or read_w < w:
+        _check_finite(x4[..., read_h:, :], "conv2d")
+        _check_finite(x4[..., read_w:], "conv2d")
 
     if padding:
         xp = np.zeros((b, h + 2 * padding, w + 2 * padding, c), dtype=np.float32)
@@ -498,7 +527,7 @@ def conv2d(input: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> 
             dx = _subpixel_input_grad(g4, kernel, stride, padding, h, w)
             input._accumulate(dx[0] if squeeze else dx)
 
-    return _from_op(out, (input, kernel), bwd, "conv2d")
+    return _node(out, (input, kernel), bwd)
 
 
 _LRELU_SLOPE = np.float32(0.2)
@@ -511,16 +540,16 @@ def conv_layer(input: Tensor, weight: Tensor, bias: Tensor, stride: int = 1,
     """One conv layer as one tape node: optional nearest x2 upsample, conv2d,
     bias [C_out], then LeakyReLU(0.2), tanh or nothing.
 
-    The convolution is the module-level conv2d call, so its own finite check
-    runs before the activation (tanh would turn an overflowed +inf into 1)
-    and anything that replaces conv2d sees every layer's convolution. The
-    bias and activation are applied in place on the conv output. The
-    backward applies the activation mask, sums the bias gradient and runs the
-    conv node's own backward. With upsample, the conv sees the upsampled
-    array and the kernel as constants, so its node keeps no im2col and has
-    no backward: both the input and the kernel gradient come from one
-    stride-2 correlation on the coarse grid of the input
-    (_upsampled_conv_grads).
+    The convolution is the module-level conv2d call, so anything that
+    replaces conv2d sees every layer's convolution. The bias and activation
+    are applied in place on the conv output. The biased value is checked
+    before a tanh, which would turn an overflowed +inf into 1; LeakyReLU and
+    linear carry a NaN/Inf on to the next check. The backward applies the
+    activation mask, sums the bias gradient and runs the conv node's own
+    backward. With upsample, the conv sees the upsampled array and the kernel
+    as constants, so its node keeps no im2col and has no backward: both the
+    input and the kernel gradient come from one stride-2 correlation on the
+    coarse grid of the input (_upsampled_conv_grads).
     """
     if activation not in _ACTIVATIONS:
         raise ValueError(f"unknown activation {activation!r}")
@@ -538,6 +567,7 @@ def conv_layer(input: Tensor, weight: Tensor, bias: Tensor, stride: int = 1,
     if activation == "lrelu":
         np.maximum(zh, zh * _LRELU_SLOPE, out=zh)
     elif activation == "tanh":
+        _check_finite(zh, "conv_layer")
         np.tanh(zh, out=zh)
 
     def bwd(out: Tensor) -> None:
@@ -566,7 +596,7 @@ def conv_layer(input: Tensor, weight: Tensor, bias: Tensor, stride: int = 1,
             if input.requires_grad:
                 input._accumulate(dx[0] if squeeze else dx)
 
-    return _from_op(z, (input, weight, bias), bwd, "conv_layer")
+    return _node(z, (input, weight, bias), bwd)
 
 
 def conv2d_1x1(input: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
@@ -599,7 +629,7 @@ def conv2d_1x1(input: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
             dx = _nchw((g2 @ w2).reshape(b, h, w, cin))
             input._accumulate(dx[0] if squeeze else dx)
 
-    return _from_op(out, (input, kernel, bias), bwd, "conv2d_1x1")
+    return _node(out, (input, kernel, bias), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -649,7 +679,9 @@ def mse_loss(a: Tensor, b: Tensor) -> Tensor:
 def backward(loss: Tensor) -> None:
     """Populate .grad of every requires_grad leaf reachable from the scalar loss.
 
-    Repeated calls without zero_grads() accumulate.
+    Repeated calls without zero_grads() accumulate. A NaN/Inf in any node's
+    gradient reaches a leaf (only concat_channels drops a share, and checks
+    it), so each leaf gradient is checked once, after the sweep.
     """
     if loss.data.shape != ():
         raise TapeError(f"loss must be scalar, got shape {loss.data.shape}")
@@ -676,10 +708,12 @@ def backward(loss: Tensor) -> None:
     for node in reversed(order):
         if node._backward is not None and node.grad is not None:
             node._backward(node)
-            _check_finite(node.grad, "backward")
             if node._parents:
                 # interior node: free its grad buffer once consumed
                 node.grad = None
+    for node in order:
+        if not node._parents and node.grad is not None:
+            _check_finite(node.grad, "backward")
 
 
 def zero_grads(params) -> None:

@@ -17,6 +17,11 @@ def sample_x(ds):
     return ds.pairs("ood_test")[0][0]
 
 
+def all_params(adaptors):
+    """The input adaptor's and every level adaptor's params."""
+    return adaptors.trainable_params(Configuration.of(adaptors.level_adaptors))
+
+
 class TestConfiguration:
     def test_rejects_empty(self):
         with pytest.raises(ValueError, match="non-empty"):
@@ -50,13 +55,14 @@ class TestInitAdaptors:
         adaptors = init_adaptors(task, seed=0)
         # depth-2 taps have 32 channels in the default plan
         assert task.channels_at(2) == 32
-        assert adaptors.param_count(2) == 32 * 32 + 32
+        la = adaptors.level_adaptors[2]
+        assert la.weight.data.size + la.bias.data.size == 32 * 32 + 32
 
     def test_same_seed_identical(self, small_stack):
         _, task, _ = small_stack
         a1 = init_adaptors(task, seed=5)
         a2 = init_adaptors(task, seed=5)
-        for p1, p2 in zip(a1.params(), a2.params()):
+        for p1, p2 in zip(all_params(a1), all_params(a2)):
             assert np.array_equal(p1.data, p2.data)
 
     def test_mirror_sharing_when_channels_match(self, small_stack):
@@ -66,7 +72,6 @@ class TestInitAdaptors:
             c = task.channels_at(i)
             assert la.params() == [la.weight, la.bias]
             assert la.weight.shape == (c, c, 1, 1) and la.bias.shape == (c,)
-            assert adaptors.param_count(i) == c * c + c
 
     @pytest.mark.parametrize("n_layers", [5, 6, 7, 8, 9])
     @pytest.mark.parametrize("base_channels, max_channels", [(16, 64), (4, 8), (3, 100)])
@@ -112,7 +117,7 @@ class TestAdaptedForward:
         x = sample_x(ds)
         base = translate(task, Tensor(x))
         adaptors = init_adaptors(task, seed=1)
-        for p in adaptors.params():
+        for p in all_params(adaptors):
             p.data = p.data + np.float32(0.01)  # arbitrary non-identity
         trace, _ = adapted_forward(task, suite, adaptors,
                                    Configuration.of([1, 2, 3]), x)
@@ -153,12 +158,12 @@ class TestAdaptSteps:
     def test_single_step_takes_no_update(self, small_stack):
         ds, task, suite = small_stack
         adaptors = init_adaptors(task, seed=0)
-        before = [p.data.copy() for p in adaptors.params()]
+        before = [p.data.copy() for p in all_params(adaptors)]
         trace = adapt_steps(task, suite, adaptors, Configuration.of([1, 2, 3]),
                             sample_x(ds), m_steps=1)
         assert [s.step for s in trace.steps] == [1]
         assert trace.best_step == 1 and not trace.failed
-        for b, p in zip(before, adaptors.params()):
+        for b, p in zip(before, all_params(adaptors)):
             assert np.array_equal(b, p.data)
 
     def test_last_forward_untaped_with_identical_records(self, small_stack, monkeypatch):
@@ -354,3 +359,127 @@ class TestWeightedIdentityStep:
         assert shared.steps[0].to_dict() == taped.steps[0].to_dict()
         for pa, pb in zip(a.trainable_params(omega), b.trainable_params(omega)):
             assert np.abs(pa.data - pb.data).max() <= 1e-6 * np.abs(pa.data).max()
+
+
+class _Injector:
+    """Writes value into one element of the forward value, or of the incoming
+    gradient, of the target-th tape node built while it is installed, and
+    counts the nodes built before each Adam update. Every node is counted,
+    a conv_layer's inner conv included; a forward value is written before
+    the op's own finite check, if it has one, as if the op had made it."""
+
+    def __init__(self, monkeypatch, target=-1, where="forward", value=np.inf):
+        self.target, self.where, self.value = target, where, value
+        self.built, self.applied, self.on_tape, self.updates = 0, False, False, []
+        make, update = T._node, A.adam_step
+
+        def node(data, parents, backward):
+            n, self.built = self.built, self.built + 1
+            if n == self.target and where == "forward":
+                data = self._poison(data)
+            out = make(data, parents, backward)
+            if n == self.target:
+                self.on_tape = out._backward is not None
+            if n == self.target and where == "backward" and self.on_tape:
+                inner = out._backward
+
+                def poisoned(node):
+                    if not self.applied:
+                        node.grad = self._poison(node.grad)
+                    inner(node)
+
+                out._backward = poisoned
+            return out
+
+        def adam(*args):
+            self.updates.append(self.built)
+            return update(*args)
+
+        monkeypatch.setattr(T, "_node", node)
+        monkeypatch.setattr(A, "adam_step", adam)
+
+    def _poison(self, arr):
+        arr = np.array(arr, dtype=np.float32)
+        arr.flat[arr.size // 2] = self.value
+        self.applied = True
+        return arr
+
+
+class TestFaultInjection:
+    """A NaN/Inf at any tape node of an adapted pass fails its configuration
+    in the step it appears in, as a check after every op would: the run keeps
+    the records of the steps before that step if the value is in a forward
+    pass, and of that step too if it is in a backward pass."""
+
+    M = 3
+    OMEGA = Configuration.of([1, 2, 3])
+
+    @pytest.fixture(scope="class")
+    def clean(self, small_stack):
+        """Per record count k, the to_dict and best output of the clean run
+        cut after k records; and the node range of each step."""
+        ds, task, suite = small_stack
+        x = sample_x(ds)
+        with pytest.MonkeyPatch.context() as mp:
+            inj = _Injector(mp)
+            adapt_steps(task, suite, init_adaptors(task), self.OMEGA, x, m_steps=self.M)
+        bounds = [0, *inj.updates, inj.built]
+        kept = {0: ({"omega": list(self.OMEGA.active), "best_step": 0,
+                     "best_eps_y": float("inf"), "failed": True, "steps": []}, None)}
+        for k in range(1, self.M):
+            trace = adapt_steps(task, suite, init_adaptors(task), self.OMEGA, x, m_steps=k)
+            kept[k] = (trace.to_dict() | {"failed": True}, trace.best_output)
+        return x, bounds, kept
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan], ids=["inf", "nan"])
+    @pytest.mark.parametrize("step,where", [(1, "forward"), (1, "backward"), (2, "forward"),
+                                            (2, "backward"), (3, "forward")])
+    def test_each_node_fails_its_step(self, small_stack, clean, monkeypatch, step, where,
+                                      value):
+        _, task, suite = small_stack
+        x, bounds, kept = clean
+        want, want_output = kept[step - (where == "forward")]
+        for n in range(bounds[step - 1], bounds[step]):
+            with monkeypatch.context() as mp, np.errstate(all="ignore"):
+                inj = _Injector(mp, n, where, value)
+                trace = adapt_steps(task, suite, init_adaptors(task), self.OMEGA, x,
+                                    m_steps=self.M)
+            if where == "backward" and not inj.on_tape:
+                continue  # a node of the untaped last forward, or of a constant
+            assert inj.applied, n
+            assert trace.to_dict() == want, n
+            if want_output is None:
+                assert trace.best_output is None
+            else:
+                assert np.array_equal(trace.best_output, want_output), n
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan], ids=["inf", "nan"])
+    def test_each_node_of_the_identity_step(self, small_stack, monkeypatch, value):
+        """The shared step 1 keeps no forward if its pass saw the value, and
+        no gradients if its loss terms or a per-term backward did."""
+        ds, task, suite = small_stack
+        x = sample_x(ds)
+        passed_at = []
+        with monkeypatch.context() as mp:
+            inj = _Injector(mp)
+            inner = A._adapted_pass
+
+            def recording(*args):
+                ap = inner(*args)
+                passed_at.append(inj.built)
+                return ap
+
+            mp.setattr(A, "_adapted_pass", recording)
+            identity_step(task, suite, x)
+        for where in ("forward", "backward"):
+            for n in range(inj.built):
+                with monkeypatch.context() as mp, np.errstate(all="ignore"):
+                    node = _Injector(mp, n, where, value)
+                    step = identity_step(task, suite, x)
+                if where == "backward" and not node.on_tape:
+                    continue
+                assert node.applied, (where, n)
+                if where == "forward" and n < passed_at[0]:
+                    assert step.passed is None, n
+                else:
+                    assert step.passed is not None and step.grads is None, (where, n)

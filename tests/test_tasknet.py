@@ -93,7 +93,7 @@ class TestTrainTask:
         ds = synthesize(spec)
         model = TaskModel(image_size=32, seed=0)
         report = train_task(model, ds.pairs("train"), LrSchedule(2e-4, 15, 15), seed=0)
-        assert report.improved
+        assert report.epoch_losses[-1] < report.epoch_losses[0]
         errs = []
         with T.no_grad():
             for x, y in ds.pairs("id_test"):

@@ -276,6 +276,14 @@ class TestConvLayer:
         with np.errstate(over="ignore"), pytest.raises(NumericError):
             T.conv_layer(x, k, b, padding=1, activation="tanh")
 
+    def test_bias_overflow_under_tanh_raises(self):
+        # the conv value 3e38 is finite; the bias add overflows, and tanh(+inf) is 1
+        k = np.zeros((1, 1, 3, 3), np.float32)
+        k[0, 0, 1, 1] = 3e38
+        with np.errstate(over="ignore"), pytest.raises(NumericError):
+            T.conv_layer(Tensor(np.ones((1, 4, 4), np.float32)), Tensor(k),
+                         Tensor(np.full(1, 3e38, np.float32)), padding=1, activation="tanh")
+
     def test_unknown_activation_rejected(self):
         with pytest.raises(ValueError, match="activation"):
             T.conv_layer(Tensor(np.zeros((1, 4, 4))), Tensor(np.zeros((1, 1, 3, 3))),
@@ -593,6 +601,53 @@ class TestNumericGuards:
             out = T.add(a, a)
             T._check_finite(np.array([3e38, 3e38], np.float32), "probe")
         assert np.isfinite(out.data).all() and out.data[0] == np.float32(3e38)
+
+
+    @pytest.mark.parametrize("op", [T.tanh, T.sigmoid])
+    def test_saturating_activation_checks_its_input(self, op):
+        # tanh(inf) is 1 and sigmoid(inf) is 1: the output alone would pass
+        with pytest.raises(NumericError):
+            op(Tensor(np.array([np.inf], np.float32)))
+
+    @pytest.mark.parametrize("stride,width", [(2, 6), (3, 7)])
+    def test_strided_conv_checks_the_input_it_never_reads(self, stride, width):
+        x = np.zeros((1, width, width), np.float32)
+        x[0, 2, -1] = np.nan  # right of the last window
+        with pytest.raises(NumericError):
+            conv2d(Tensor(x), Tensor(np.ones((1, 1, 3, 3), np.float32)), stride=stride)
+        x[0, 2, -1] = 0.0
+        x[0, -1, 0] = np.nan  # below the last window
+        with pytest.raises(NumericError):
+            conv2d(Tensor(x), Tensor(np.ones((1, 1, 3, 3), np.float32)), stride=stride)
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_backward_checks_leaf_gradients(self, value):
+        w = Tensor(np.array([1.0, 2.0], np.float32), requires_grad=True)
+        g = np.array([1.0, value], np.float32)
+        # an identity whose backward hands the leaf a non-finite gradient
+        out = T._node(w.data.copy(), (w,), lambda out: w._accumulate(out.grad * g))
+        with pytest.raises(NumericError, match="backward"):
+            backward(T.tensor_sum(out))
+
+    def test_backward_overflow_into_leaf_raises(self):
+        # forward 1e-30 * 3e38 * 1e30 = 3e38 is finite; the gradient 3e38 * 1e30 is not
+        w = Tensor(np.array([1e-30], np.float32), requires_grad=True)
+        loss = T.tensor_sum(T.scale(T.mul(w, Tensor(np.array([3e38], np.float32))), 1e30))
+        with np.errstate(over="ignore"), pytest.raises(NumericError, match="backward"):
+            backward(loss)
+
+    def test_concat_checks_the_share_it_drops(self):
+        # the concat's gradient is [1e30 | NaN] (inf * 0 in the constant's block):
+        # the leaf's share is finite, and the NaN would end at the constant
+        a = Tensor(np.ones((1, 2, 2), np.float32), requires_grad=True)
+        b = Tensor(np.zeros((1, 2, 2), np.float32))
+        cat = T.concat_channels(a, b)
+        zero_b = T.mul(cat, Tensor(np.array([1.0, 0.0], np.float32).reshape(2, 1, 1)))
+        big_b = T.mul(zero_b, Tensor(np.array([1.0, 3e38], np.float32).reshape(2, 1, 1)))
+        loss = T.tensor_sum(T.scale(big_b, 1e30))
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NumericError, match="concat_channels"):
+            backward(loss)
 
 
 class TestDeterminism:

@@ -7,8 +7,8 @@ plus conv_layer, which runs upsample, conv2d, bias and activation as one node.
 Everything is float32.
 
 Numeric contract: a NaN/Inf raises NumericError at the next saturating
-activation, generic op, loss or leaf gradient, within the same step (forward
-pass, or backward pass). Each value is checked once, where a non-finite
+activation, generic op, loss or leaf gradient, within the same forward or
+backward pass, so within the same adaptation or training step. Each value is checked once, where a non-finite
 value could vanish. Under IEEE arithmetic inf and NaN carry through the
 convolutions' GEMMs, bias adds, LeakyReLU, upsample and concat (even
 inf * 0 is NaN), so conv2d, conv2d_1x1, upsample_nearest, concat_channels and

@@ -369,18 +369,18 @@ class _Injector:
     the op's own finite check, if it has one, as if the op had made it."""
 
     def __init__(self, monkeypatch, target=-1, where="forward", value=np.inf):
-        self.target, self.where, self.value = target, where, value
+        self.value = value
         self.built, self.applied, self.on_tape, self.updates = 0, False, False, []
         make, update = T._node, A.adam_step
 
         def node(data, parents, backward):
             n, self.built = self.built, self.built + 1
-            if n == self.target and where == "forward":
+            if n == target and where == "forward":
                 data = self._poison(data)
             out = make(data, parents, backward)
-            if n == self.target:
+            if n == target:
                 self.on_tape = out._backward is not None
-            if n == self.target and where == "backward" and self.on_tape:
+            if n == target and where == "backward" and self.on_tape:
                 inner = out._backward
 
                 def poisoned(node):
@@ -439,19 +439,22 @@ class TestFaultInjection:
         _, task, suite = small_stack
         x, bounds, kept = clean
         want, want_output = kept[step - (where == "forward")]
+        injected = 0
         for n in range(bounds[step - 1], bounds[step]):
             with monkeypatch.context() as mp, np.errstate(all="ignore"):
                 inj = _Injector(mp, n, where, value)
                 trace = adapt_steps(task, suite, init_adaptors(task), self.OMEGA, x,
                                     m_steps=self.M)
             if where == "backward" and not inj.on_tape:
-                continue  # a node of the untaped last forward, or of a constant
+                continue  # every parent of the node is a constant: it has no backward
             assert inj.applied, n
+            injected += 1
             assert trace.to_dict() == want, n
             if want_output is None:
                 assert trace.best_output is None
             else:
                 assert np.array_equal(trace.best_output, want_output), n
+        assert injected > (bounds[step] - bounds[step - 1]) // 2
 
     @pytest.mark.parametrize("value", [np.inf, np.nan], ids=["inf", "nan"])
     def test_each_node_of_the_identity_step(self, small_stack, monkeypatch, value):

@@ -4,8 +4,7 @@ from .adaptors import (AdaptorSet, Configuration, StepTrace, adapt_steps,
                        adapted_forward, init_adaptors)
 from .data import Dataset, ShiftParams, SyntheticTaskSpec, gen_dataset, load_dataset
 from .layers import TrainReport
-from .metrics import (MetricsReport, bonferroni, mae, psnr, ssim,
-                      wilcoxon_signed_rank)
+from .metrics import bonferroni, mae, psnr, ssim, wilcoxon_signed_rank
 from .pipeline import RunConfig, RunReport, compare_strategies, pipeline_run
 from .recon import Autoencoder, ReconSuite, ShiftErrors, concat_symmetric, train_recon_suite
 from .search import (AdaptEvaluator, SearchBudget, SearchOutcome, TtaRunner,

@@ -17,7 +17,7 @@ from pathlib import Path
 from .data import gen_dataset
 from .pipeline import (RunConfig, RunConflict, arm_labels, calibrate_tau,
                        compare_strategies, ensure_dataset, ensure_suite, ensure_task,
-                       metrics_report, open_run_dir, pipeline_run, read_report_csv, run_tta,
+                       metrics_summary, open_run_dir, pipeline_run, read_report_csv, run_tta,
                        write_wilcoxon_csv)
 from .search import STRATEGY_NAMES
 
@@ -169,8 +169,7 @@ def _run(args, cfg: RunConfig | None) -> int:
         run_dir = Path(args.run_dir)
         rows = read_report_csv(run_dir / "report.csv")
         for which, label in (("base", "no-TTA"), ("tta", "with-TTA")):
-            rep = metrics_report(rows, which)
-            summary = rep.summary()
+            summary = metrics_summary(rows, which)
             a, b = summary["A"], summary["B"]
             print(f"{label}: A mae={a['mae']['mean']:.4f} ssim={a['ssim']['mean']:.4f} "
                   f"psnr={a['psnr']['mean']:.3f} | B mae={b['mae']['mean']:.4f} "

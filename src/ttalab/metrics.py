@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -165,54 +164,3 @@ def bonferroni(p_values, alpha: float) -> list[tuple[float, bool]]:
         raise ValueError("empty p-value list")
     threshold = alpha / len(ps)
     return [(p, p < threshold) for p in ps]
-
-
-# ---------------------------------------------------------------------------
-# per-run metric bookkeeping
-
-
-@dataclass
-class SampleMetrics:
-    sample_id: str
-    mae: float
-    psnr: float
-    ssim: float
-
-
-@dataclass
-class MetricsReport:
-    """Per-sample metrics over test set A with aggregates for A and subset B."""
-
-    samples: list[SampleMetrics]
-    subset_ids: set[str] = field(default_factory=set)
-
-    def __post_init__(self):
-        ids = {s.sample_id for s in self.samples}
-        stray = self.subset_ids - ids
-        if stray:
-            raise ValueError(f"subset ids not in the sample set: {sorted(stray)[:5]}")
-
-    def _values(self, metric: str, subset: bool) -> np.ndarray:
-        rows = [s for s in self.samples if not subset or s.sample_id in self.subset_ids]
-        return np.array([getattr(s, metric) for s in rows], dtype=np.float64)
-
-    def mean_std(self, metric: str, subset: bool = False) -> tuple[float, float]:
-        vals = self._values(metric, subset)
-        if vals.size == 0:
-            return float("nan"), float("nan")
-        return float(np.nanmean(vals)), float(np.nanstd(vals))
-
-    def negative_ssim_count(self) -> int:
-        return int((self._values("ssim", subset=False) < 0).sum())
-
-    def summary(self) -> dict:
-        out = {}
-        for scope, subset in (("A", False), ("B", True)):
-            out[scope] = {}
-            for metric in ("mae", "psnr", "ssim"):
-                mean, std = self.mean_std(metric, subset)
-                out[scope][metric] = {"mean": mean, "std": std}
-        out["ssim_negative_count"] = self.negative_ssim_count()
-        out["n_A"] = len(self.samples)
-        out["n_B"] = len(self.subset_ids)
-        return out

@@ -19,8 +19,7 @@ import numpy as np
 
 from .checkpoint import load_suite, load_task, save_suite, save_task
 from .data import Dataset, SyntheticTaskSpec, from_json, gen_dataset, load_dataset
-from .metrics import (MetricsReport, SampleMetrics, mae, psnr, ssim, untested_label,
-                      wilcoxon_signed_rank)
+from .metrics import mae, psnr, ssim, untested_label, wilcoxon_signed_rank
 from .recon import ReconSuite, train_recon_suite
 from .search import STRATEGY_NAMES, TtaRunner, calibrate_threshold
 from .tasknet import TaskModel, train_task
@@ -182,20 +181,20 @@ def open_run_dir(cfg: RunConfig) -> Path:
 def _reuse_or_build(record: Path, key: str, wanted: dict, load, build, rebuild: str):
     """load() when the JSON file record holds `wanted` under key and loads; else build().
 
-    A missing record builds silently. A different record, or one whose
-    artifact does not load (load raises ValueError or FileNotFoundError), is
-    logged with the reason, ending in the word rebuild.
+    A missing record builds silently. A different record, one that does not
+    parse (a save cut off midway), or one whose artifact does not load (load
+    raises ValueError or FileNotFoundError), is logged with the reason, ending
+    in the word rebuild.
     """
     if record.exists():
-        saved = json.loads(record.read_text()).get(key)
-        if saved != wanted:
+        try:
+            saved = json.loads(record.read_text()).get(key)
+            if saved == wanted:
+                return load()
             log.info("%s was built from %s, the config asks for %s; %s",
                      record.parent, saved, wanted, rebuild)
-        else:
-            try:
-                return load()
-            except (ValueError, FileNotFoundError) as err:
-                log.warning("%s does not load (%s); %s", record.parent, err, rebuild)
+        except (ValueError, FileNotFoundError) as err:
+            log.warning("%s does not load (%s); %s", record.parent, err, rebuild)
     return build()
 
 
@@ -327,12 +326,29 @@ def run_tta(cfg: RunConfig, task: TaskModel, suite: ReconSuite, dataset: Dataset
     return rows
 
 
-def metrics_report(rows: list[dict], which: str = "tta") -> MetricsReport:
-    samples = [SampleMetrics(sample_id=r["sample_id"], mae=r[f"mae_{which}"],
-                             psnr=r[f"psnr_{which}"], ssim=r[f"ssim_{which}"])
-               for r in rows]
-    subset = {r["sample_id"] for r in rows if r["triggered"]}
-    return MetricsReport(samples=samples, subset_ids=subset)
+def _nan_mean_std(values: list[float]) -> tuple[float, float]:
+    """NaN-ignoring mean and std; NaN, without numpy's empty-slice warning, when
+    every value is NaN or there is none."""
+    values = np.asarray(values, dtype=np.float64)
+    if np.isnan(values).all():
+        return float("nan"), float("nan")
+    return float(np.nanmean(values)), float(np.nanstd(values))
+
+
+def metrics_summary(rows: list[dict], which: str) -> dict:
+    """Mean and std of the {which} image metrics over every row (test set A)
+    and over the triggered rows (subset B), and A's negative-SSIM count."""
+    triggered = [r for r in rows if r["triggered"]]
+    out = {}
+    for scope, scoped in (("A", rows), ("B", triggered)):
+        out[scope] = {}
+        for m in ("mae", "psnr", "ssim"):
+            mean, std = _nan_mean_std([r[f"{m}_{which}"] for r in scoped])
+            out[scope][m] = {"mean": mean, "std": std}
+    out["ssim_negative_count"] = sum(r[f"ssim_{which}"] < 0 for r in rows)
+    out["n_A"] = len(rows)
+    out["n_B"] = len(triggered)
+    return out
 
 
 @dataclass
@@ -369,8 +385,6 @@ def read_report_csv(path) -> list[dict]:
 def build_summary(cfg: RunConfig, tau: float, rows: list[dict],
                   stage_seconds: dict[str, float]) -> dict:
     """Aggregates of one run; runtime_seconds is the tta stage alone."""
-    rep_tta = metrics_report(rows, "tta")
-    rep_base = metrics_report(rows, "base")
     triggered = [r for r in rows if r["triggered"]]
     return {
         "schema_version": REPORT_SCHEMA_VERSION,
@@ -384,8 +398,8 @@ def build_summary(cfg: RunConfig, tau: float, rows: list[dict],
             split: sum(1 for r in triggered if r["split"] == split)
             for split in ("id_test", "ood_test")
         },
-        "with_tta": rep_tta.summary(),
-        "no_tta": rep_base.summary(),
+        "with_tta": metrics_summary(rows, "tta"),
+        "no_tta": metrics_summary(rows, "base"),
         "failed_configs": sum(r["failed_configs"] for r in rows),
         "runtime_seconds": stage_seconds["tta"],
         "stage_seconds": stage_seconds,
@@ -453,12 +467,6 @@ def arm_labels(configs: list[dict], run_names: list[str]) -> list[str]:
     return labels
 
 
-def _nanmean(values: list[float]) -> float:
-    """np.nanmean, but NaN without numpy's empty-slice warning when every value is NaN."""
-    values = np.asarray(values, dtype=np.float64)
-    return float(np.nanmean(values)) if not np.isnan(values).all() else float("nan")
-
-
 def compare_strategies(named_rows: list[tuple[str, list[dict]]], alpha: float = 0.05) -> dict:
     """Pairwise Wilcoxon matrix over per-sample TTA metrics, Bonferroni-corrected.
 
@@ -477,7 +485,7 @@ def compare_strategies(named_rows: list[tuple[str, list[dict]]], alpha: float = 
         if sorted(by_id) != ids:
             raise ValueError(f"sample-id mismatch: a run of {name} covers other samples")
         arms.setdefault(name, []).append(by_id)
-    vectors = {name: {m: [_nanmean([run[sid][f"{m}_tta"] for run in runs])
+    vectors = {name: {m: [_nan_mean_std([run[sid][f"{m}_tta"] for run in runs])[0]
                           for sid in ids] for m in _COMPARE_METRICS}
                for name, runs in arms.items()}
     names = sorted(vectors)

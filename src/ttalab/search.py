@@ -67,12 +67,6 @@ class SearchBudget:
 
 
 @dataclass
-class ConfigEval:
-    eps: float
-    output: np.ndarray | None = None
-
-
-@dataclass
 class SearchOutcome:
     """A search's result; TtaRunner.run_sample also fills in its gate pass."""
 
@@ -93,21 +87,21 @@ class _Objective:
     outcome has no configuration and eps_best inf.
     """
 
-    _best: tuple[Configuration | None, ConfigEval] = (None, ConfigEval(eps=math.inf))
+    _best: tuple[Configuration | None, float, np.ndarray | None] = (None, math.inf, None)
 
-    def _record(self, omega: Configuration, ev: ConfigEval, steps: int,
-                failed: bool = False) -> ConfigEval:
+    def _record(self, omega: Configuration, eps: float, output: np.ndarray | None,
+                steps: int, failed: bool = False) -> float:
         self.budget.configs_evaluated += 1
         self.budget.adapt_steps_total += steps
         self.budget.forwards_total += steps
         self.budget.failed_configs += failed
-        if ev.eps < self._best[1].eps:
-            self._best = (omega, ev)
-        return ev
+        if eps < self._best[1]:
+            self._best = (omega, eps, output)
+        return eps
 
     def outcome(self) -> SearchOutcome:
-        omega, ev = self._best
-        return SearchOutcome(omega_star=omega, eps_best=ev.eps, output=ev.output,
+        omega, eps, output = self._best
+        return SearchOutcome(omega_star=omega, eps_best=eps, output=output,
                              budget=self.budget, triggered=True)
 
 
@@ -120,8 +114,8 @@ class MockObjective(_Objective):
         self.steps_per_eval = steps_per_eval
         self.budget = SearchBudget()
 
-    def evaluate(self, omega: Configuration) -> ConfigEval:
-        return self._record(omega, ConfigEval(eps=float(self.fn(omega))), self.steps_per_eval)
+    def evaluate(self, omega: Configuration) -> float:
+        return self._record(omega, float(self.fn(omega)), None, self.steps_per_eval)
 
 
 def grid_search(ctx) -> SearchOutcome:
@@ -160,7 +154,7 @@ def forward_selection(ctx, faithful_pseudocode: bool = False) -> SearchOutcome:
     selected: list[int] = []
     last = math.inf
     while len(selected) < ctx.k:
-        eps, r = min((ctx.evaluate(Configuration.of(selected + [r])).eps, r)
+        eps, r = min((ctx.evaluate(Configuration.of(selected + [r])), r)
                      for r in range(1, ctx.k + 1) if r not in selected)
         if not eps < last:
             break
@@ -177,7 +171,7 @@ def _forward_selection_literal(ctx) -> SearchOutcome:
     (below inf, for {1})."""
     last = math.inf
     for r in range(1, ctx.k + 1):
-        eps = ctx.evaluate(Configuration.of(range(1, r + 1))).eps
+        eps = ctx.evaluate(Configuration.of(range(1, r + 1)))
         if not eps < last:
             break
         last = eps
@@ -193,9 +187,9 @@ def backward_elimination(ctx) -> SearchOutcome:
     singletons.
     """
     selected = list(range(1, ctx.k + 1))
-    last = ctx.evaluate(Configuration.of(selected)).eps
+    last = ctx.evaluate(Configuration.of(selected))
     while len(selected) > 1 and last != 0.0:
-        eps, r = min((ctx.evaluate(Configuration.of([i for i in selected if i != r])).eps, r)
+        eps, r = min((ctx.evaluate(Configuration.of([i for i in selected if i != r])), r)
                      for r in selected)
         if not eps < last:
             break
@@ -234,7 +228,7 @@ def bayesian_search(ctx, n_trials: int = 20, n_start: int = 5,
             if cfg is None:
                 break
         evaluated.add(cfg.active)
-        history.append((cfg, ctx.evaluate(cfg).eps))
+        history.append((cfg, ctx.evaluate(cfg)))
     return ctx.outcome()
 
 
@@ -314,7 +308,7 @@ class AdaptEvaluator(_Objective):
     def k(self) -> int:
         return self.runner.task.num_levels
 
-    def evaluate(self, omega: Configuration) -> ConfigEval:
+    def evaluate(self, omega: Configuration) -> float:
         r = self.runner
         seed = keyed_seed(r.seed, self.sample_index, omega.code())
         if self.share_identity_step and r.m_steps > 1 and self._identity is None:
@@ -327,7 +321,7 @@ class AdaptEvaluator(_Objective):
             trace.best_output, trace.best_eps_y = self.gate
         if self.trace_sink is not None:
             self.trace_sink.append(trace)
-        return self._record(omega, ConfigEval(eps=trace.best_eps_y, output=trace.best_output),
+        return self._record(omega, trace.best_eps_y, trace.best_output,
                             len(trace.steps), trace.failed)
 
 

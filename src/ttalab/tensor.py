@@ -241,7 +241,8 @@ def tanh(a: Tensor) -> Tensor:
 
 def sigmoid(a: Tensor) -> Tensor:
     _check_finite(a.data, "sigmoid")  # sigmoid maps -inf to 0 and +inf to 1
-    data = 1.0 / (1.0 + np.exp(-a.data))
+    with np.errstate(over="ignore"):  # exp overflows to inf below about -88, giving 0
+        data = 1.0 / (1.0 + np.exp(-a.data))
 
     def bwd(out: Tensor) -> None:
         if a.requires_grad:

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ttalab.metrics import (MetricsReport, SampleMetrics, bonferroni, mae, psnr,
-                            ssim, untested_label, wilcoxon_signed_rank)
+from ttalab.metrics import bonferroni, mae, psnr, ssim, untested_label, wilcoxon_signed_rank
+from ttalab.pipeline import metrics_summary
 
 rng = np.random.default_rng(99)
 
@@ -215,22 +215,14 @@ class TestBonferroni:
             bonferroni([0.01], 1.5)
 
 
-class TestMetricsReport:
-    def test_subset_validated(self):
-        samples = [SampleMetrics("a", 0.1, 20.0, 0.9), SampleMetrics("b", 0.2, 18.0, 0.8)]
-        with pytest.raises(ValueError, match="subset ids"):
-            MetricsReport(samples, subset_ids={"zzz"})
-
+class TestMetricsSummary:
     def test_aggregates(self):
-        samples = [SampleMetrics("a", 0.1, 20.0, 0.9),
-                   SampleMetrics("b", 0.3, 10.0, 0.5),
-                   SampleMetrics("c", 0.2, 15.0, -0.1)]
-        rep = MetricsReport(samples, subset_ids={"a", "b"})
-        mean_a, std_a = rep.mean_std("mae")
-        assert mean_a == pytest.approx(0.2)
-        assert std_a >= 0.0
-        mean_b, _ = rep.mean_std("mae", subset=True)
-        assert mean_b == pytest.approx(0.2)
-        assert rep.negative_ssim_count() == 1
-        s = rep.summary()
+        rows = [{"triggered": t, "mae_tta": m, "psnr_tta": p, "ssim_tta": s}
+                for t, m, p, s in [(True, 0.1, 20.0, 0.9), (True, 0.3, 10.0, 0.5),
+                                   (False, 0.2, 15.0, -0.1)]]
+        s = metrics_summary(rows, "tta")
+        assert s["A"]["mae"]["mean"] == pytest.approx(0.2)
+        assert s["A"]["mae"]["std"] >= 0.0
+        assert s["B"]["mae"]["mean"] == pytest.approx(0.2)
+        assert s["ssim_negative_count"] == 1
         assert s["n_A"] == 3 and s["n_B"] == 2

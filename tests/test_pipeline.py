@@ -10,7 +10,7 @@ import pytest
 import ttalab.pipeline as P
 import ttalab.tensor as T
 from ttalab.data import SyntheticTaskSpec
-from ttalab.pipeline import (RunConfig, arm_labels, compare_strategies, metrics_report,
+from ttalab.pipeline import (RunConfig, arm_labels, compare_strategies, metrics_summary,
                              pipeline_run, read_report_csv, write_wilcoxon_csv)
 from ttalab.tensor import NumericError
 
@@ -306,10 +306,21 @@ class TestSummary:
         header = (failing.run_dir / "report.csv").read_text().splitlines()[0]
         assert header.split(",") == P.REPORT_COLUMNS
 
-    def test_metrics_report_subset(self, tiny_run):
+    def test_metrics_summary_subset(self, tiny_run):
         _, report = tiny_run
-        rep = metrics_report(report.rows, "tta")
-        assert len(rep.subset_ids) == report.summary["n_triggered"]
+        summary = metrics_summary(report.rows, "tta")
+        assert summary["n_B"] == report.summary["n_triggered"]
+
+    def test_all_nan_subset_metric_is_nan(self, tiny_run):
+        _, report = tiny_run
+        rows = [dict(r) for r in report.rows]
+        assert any(r["triggered"] for r in rows) and not all(r["triggered"] for r in rows)
+        for r in rows:
+            if r["triggered"]:
+                r["psnr_tta"] = float("nan")  # an identical image has no PSNR
+        summary = metrics_summary(rows, "tta")  # a RuntimeWarning would raise here
+        assert np.isnan(summary["B"]["psnr"]["mean"]) and np.isnan(summary["B"]["psnr"]["std"])
+        assert np.isfinite(summary["A"]["psnr"]["mean"])
 
 
 class TestImageMetricsOnce:
@@ -596,6 +607,30 @@ class TestArtifactReuse:
             second = P.ensure_dataset(cfg)
         assert "regenerating" in caplog.text
         assert P._dataset_sha(cfg) == sha and sample.read_bytes() == clean
+        for (x0, y0), (x1, y1) in zip(first.pairs("train"), second.pairs("train")):
+            assert np.array_equal(x0, x1) and np.array_equal(y0, y1)
+
+    def test_empty_task_manifest_logged_and_retrained(self, tmp_path, counted, caplog):
+        cfg = self.config(tmp_path)
+        first = self.build(cfg)
+        (tmp_path / "task" / "manifest.json").write_text("")  # a save cut off after truncating
+        with caplog.at_level(logging.WARNING, logger=P.__name__):
+            second = self.build(cfg)
+        assert "retraining" in caplog.text
+        assert second == first
+        assert counted == {"task": 2, "suite": 1}
+
+    def test_truncated_data_index_logged_and_regenerated(self, tmp_path, caplog):
+        cfg = self.config(tmp_path)
+        first = P.ensure_dataset(cfg)
+        sha = P._dataset_sha(cfg)
+        index = tmp_path / "data" / "index.json"
+        text = index.read_text()
+        index.write_text(text[:len(text) // 2])
+        with caplog.at_level(logging.WARNING, logger=P.__name__):
+            second = P.ensure_dataset(cfg)
+        assert "regenerating" in caplog.text
+        assert index.read_text() == text and P._dataset_sha(cfg) == sha
         for (x0, y0), (x1, y1) in zip(first.pairs("train"), second.pairs("train")):
             assert np.array_equal(x0, x1) and np.array_equal(y0, y1)
 

@@ -486,9 +486,9 @@ class _RecordingObjective(MockObjective):
         self.log = []
 
     def evaluate(self, omega):
-        ev = super().evaluate(omega)
-        self.log.append((omega.active, ev.eps))
-        return ev
+        eps = super().evaluate(omega)
+        self.log.append((omega.active, eps))
+        return eps
 
 
 def strict_first_minimum(log):
@@ -577,9 +577,10 @@ class TestEveryConfigurationFailing:
         output, eps_unadapted = runner.unadapted(x)
         ctx = AdaptEvaluator(runner=runner, x=x, gate=(output, eps_unadapted))
         for omega in enumerate_configurations(ctx.k):
-            ev = ctx.evaluate(omega)
-            assert math.isfinite(ev.eps) and ev.eps == eps_unadapted
-            assert ev.output is not None and np.array_equal(ev.output, output)
+            eps = ctx.evaluate(omega)
+            assert math.isfinite(eps) and eps == eps_unadapted
+            best = ctx.outcome().output
+            assert best is not None and np.array_equal(best, output)
         assert ctx.budget.failed_configs == ctx.budget.configs_evaluated == 2 ** ctx.k - 1
 
     @pytest.mark.parametrize("strategy", S.STRATEGY_NAMES)

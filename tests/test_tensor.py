@@ -602,6 +602,11 @@ class TestNumericGuards:
             T._check_finite(np.array([3e38, 3e38], np.float32), "probe")
         assert np.isfinite(out.data).all() and out.data[0] == np.float32(3e38)
 
+    def test_sigmoid_of_large_negative_is_zero_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = T.sigmoid(Tensor([-100.0]))
+        assert out.data.tolist() == [0.0]
 
     @pytest.mark.parametrize("op", [T.tanh, T.sigmoid])
     def test_saturating_activation_checks_its_input(self, op):

@@ -12,8 +12,9 @@ directory name. rand10 also runs at seeds 5 and 6, so that its arm averages
 three runs when `ttalab compare` then takes every run directory of that
 workdir; `ttalab evaluate` runs on each of those directories. Every
 report.csv, budget.csv and traces/*.json, the comparison's .csv and .json,
-and each evaluate stdout are then compared byte for byte, as are the set-up
-artifacts they rest on: each run manifest's task_checksum and
+each evaluate stdout and each summary.json without its wall times
+(stage_seconds and runtime_seconds) are then compared byte for byte, as are
+the set-up artifacts they rest on: each run manifest's task_checksum and
 suite_checksum, and each workdir's dataset content_sha256 (data/index.json).
 The tool names each output that differs or exists on one side only, and
 exits 1 if there is any.
@@ -49,6 +50,8 @@ RUNS += [("w", "rand10", ["--seed", str(seed)]) for seed in (5, 6)]
 # set-up artifacts, by file pattern: the fields that do not name the workdir
 SETUP_FIELDS = {"*/runs/*/manifest.json": ("task_checksum", "suite_checksum"),
                 "*/data/index.json": ("content_sha256",)}
+# summary.json fields that differ from run to run of one tree
+TIMED_FIELDS = ("stage_seconds", "runtime_seconds")
 MAIN = "import sys; from ttalab.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
@@ -82,6 +85,9 @@ def run_all(checkout: Path, work: Path) -> dict[str, bytes]:
             record = json.loads(p.read_text())
             outputs.update({f"{p.relative_to(work)} {key}": record[key].encode()
                             for key in keys})
+    for p in work.glob("*/runs/*/summary.json"):
+        summary = {k: v for k, v in json.loads(p.read_text()).items() if k not in TIMED_FIELDS}
+        outputs[f"{p.relative_to(work)} (untimed)"] = json.dumps(summary, indent=2).encode()
     for d in run_dirs:
         outputs[f"{d.relative_to(work)} (evaluate stdout)"] = ttalab(checkout, "evaluate", str(d))
     return outputs

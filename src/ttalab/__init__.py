@@ -9,8 +9,8 @@ from .pipeline import RunConfig, RunReport, compare_strategies, pipeline_run
 from .recon import Autoencoder, ReconSuite, ShiftErrors, concat_symmetric, train_recon_suite
 from .search import (AdaptEvaluator, SearchBudget, SearchOutcome, TtaRunner,
                      backward_elimination, bayesian_search, calibrate_threshold,
-                     enumerate_configurations, forward_selection, grid_search,
-                     random_search, trigger)
+                     enumerate_configurations, forward_selection,
+                     forward_selection_literal, grid_search, random_search, trigger)
 from .tasknet import FeatureTrace, TaskModel, train_task, translate
 from .tensor import (AdamState, LrSchedule, NumericError, TapeError, Tensor,
                      adam_step, backward, conv2d, conv2d_1x1, l1_distance,

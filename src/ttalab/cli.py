@@ -53,8 +53,6 @@ def _add_tta_flags(p: argparse.ArgumentParser) -> None:
     # store_true flags default to None, so an unset flag leaves the config alone
     p.add_argument("--tau-transductive", dest="tau_transductive", action="store_true",
                    default=None, help="calibrate tau on the test set instead of the held-out split")
-    p.add_argument("--fs-faithful-pseudocode", dest="fs_faithful_pseudocode",
-                   action="store_true", default=None, help="literal forward-selection variant")
     p.add_argument("--psnr-max", dest="psnr_max", choices=["generated", "range"])
     p.add_argument("--dump-traces", dest="dump_traces", action="store_true", default=None)
     p.add_argument("--noise-mult", dest="noise_mult", type=float,
@@ -107,9 +105,10 @@ def main(argv=None) -> int:
     level = log.level
     log.addHandler(handler)
     log.setLevel(logging.INFO)
+    caught = (OSError, ValueError) if args.command in ("evaluate", "compare") else RunConflict
     try:
         return _run(args, cfg)
-    except RunConflict as err:
+    except caught as err:
         print(f"ttalab: error: {err}", file=sys.stderr)
         return 2
     finally:

@@ -64,7 +64,6 @@ class RunConfig:
     adaptor_width: int = 8
     loss_weights: tuple[float, float, float] = (1.0, 1.0, 1.0)
     tau_transductive: bool = False
-    fs_faithful_pseudocode: bool = False
     tpe_trials: int = 20
     tpe_start: int = 5
     tpe_gamma: float = 0.25
@@ -152,16 +151,19 @@ def open_run_dir(cfg: RunConfig) -> Path:
     directory's manifest.json records the config that owns it. Once the
     directory holds a run's outputs (report.csv or traces), a config that
     differs from that one in any field of what a run computes (all but
-    _REPEAT_KEYS) is refused with RunConflict naming those fields, instead of
-    replacing those files. A claim without outputs, left by a run that failed
-    or a dump that traced nothing, passes to the new config.
+    _REPEAT_KEYS) is refused with RunConflict naming those fields, and so is
+    every config when no manifest reads, instead of replacing those files. A
+    claim without outputs, left by a run that failed or a dump that traced
+    nothing, passes to the new config.
     """
     run_dir = Path(cfg.workdir) / "runs" / cfg.run_name()
     manifest = run_dir / "manifest.json"
     config = json.loads(json.dumps(cfg.to_dict()))
-    has_outputs = (run_dir / "report.csv").exists() or (run_dir / "traces").exists()
-    if has_outputs and manifest.exists():
-        saved = json.loads(manifest.read_text()).get("config", {})
+    if (run_dir / "report.csv").exists() or (run_dir / "traces").exists():
+        try:
+            saved = json.loads(manifest.read_text()).get("config", {})
+        except (OSError, ValueError) as err:  # no manifest, or one cut off midway
+            raise RunConflict(f"{run_dir} holds outputs but no readable manifest ({err})")
         fields = [k for k in _differing_keys(saved, config) if k not in _REPEAT_KEYS]
         if fields:
             raise RunConflict(f"{run_dir} holds a run whose config differs in "
@@ -293,7 +295,6 @@ def run_tta(cfg: RunConfig, task: TaskModel, suite: ReconSuite, dataset: Dataset
     runner = TtaRunner(task=task, suite=suite, m_steps=cfg.steps,
                        adaptor_lr=cfg.adaptor_lr, adaptor_width=cfg.adaptor_width,
                        loss_weights=cfg.loss_weights, seed=cfg.seed,
-                       fs_faithful_pseudocode=cfg.fs_faithful_pseudocode,
                        tpe_trials=cfg.tpe_trials, tpe_start=cfg.tpe_start,
                        tpe_gamma=cfg.tpe_gamma, tpe_candidates=cfg.tpe_candidates)
     rows = []

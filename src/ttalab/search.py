@@ -140,7 +140,7 @@ def random_search(ctx, n_config: int, rng: np.random.Generator) -> SearchOutcome
     return ctx.outcome()
 
 
-def forward_selection(ctx, faithful_pseudocode: bool = False) -> SearchOutcome:
+def forward_selection(ctx) -> SearchOutcome:
     """Greedy growth from the empty set, adding the best strictly-improving level.
 
     A round evaluates the current set plus each unselected level r, in
@@ -149,8 +149,6 @@ def forward_selection(ctx, faithful_pseudocode: bool = False) -> SearchOutcome:
     one; the search stops at the first round that is not (or when eps hits
     the 0.0 floor).
     """
-    if faithful_pseudocode:
-        return _forward_selection_literal(ctx)
     selected: list[int] = []
     last = math.inf
     while len(selected) < ctx.k:
@@ -165,7 +163,7 @@ def forward_selection(ctx, faithful_pseudocode: bool = False) -> SearchOutcome:
     return ctx.outcome()
 
 
-def _forward_selection_literal(ctx) -> SearchOutcome:
+def forward_selection_literal(ctx) -> SearchOutcome:
     """The pseudocode variant, a prefix scan: evaluates {1}, {1,2}, ... and
     stops at the first prefix whose eps is not strictly below its predecessor's
     (below inf, for {1})."""
@@ -325,7 +323,7 @@ class AdaptEvaluator(_Objective):
                             len(trace.steps), trace.failed)
 
 
-STRATEGY_NAMES = ("grid", "rand10", "rand50", "fs", "be", "tpe", "static-all")
+STRATEGY_NAMES = ("grid", "rand10", "rand50", "fs", "fs-literal", "be", "tpe", "static-all")
 
 
 @dataclass
@@ -339,7 +337,6 @@ class TtaRunner:
     adaptor_width: int = 8
     loss_weights: tuple[float, float, float] = (1.0, 1.0, 1.0)
     seed: int = 0
-    fs_faithful_pseudocode: bool = False
     tpe_trials: int = 20
     tpe_start: int = 5
     tpe_gamma: float = 0.25
@@ -380,7 +377,9 @@ class TtaRunner:
                 np.random.SeedSequence(entropy=self.seed, spawn_key=(sample_index, 101)))
             outcome = random_search(ctx, n, rng)
         elif strategy == "fs":
-            outcome = forward_selection(ctx, self.fs_faithful_pseudocode)
+            outcome = forward_selection(ctx)
+        elif strategy == "fs-literal":
+            outcome = forward_selection_literal(ctx)
         elif strategy == "be":
             outcome = backward_elimination(ctx)
         elif strategy == "tpe":

@@ -5,7 +5,7 @@ import pytest
 
 import ttalab.cli as cli
 from ttalab.cli import main
-from ttalab.pipeline import RunConfig
+from ttalab.pipeline import REPORT_COLUMNS, RunConfig, write_csv
 
 
 @pytest.fixture(scope="module")
@@ -83,6 +83,70 @@ def test_compare_keeps_percentiles_apart(cli_workspace, capsys, tmp_path):
                  str(runs / "fs_p90_M2_seed4"), "--out", str(out_stem)]) == 0
     payload = json.loads(out_stem.with_suffix(".json").read_text())
     assert payload["strategies"] == ["fs", "grid_p80_M2_seed4", "grid_p90_M2_seed4"]
+
+
+def test_fs_and_fs_literal_share_a_workdir(cli_workspace, capsys, tmp_path):
+    root, cfg = cli_workspace
+    runs = root / "w" / "runs"
+    for strategy in ("fs", "fs-literal"):
+        assert main(["run-tta", "--config", str(cfg), "--strategy", strategy,
+                     "--percentile", "70"]) == 0
+    out_stem = tmp_path / "cmp"
+    assert main(["compare", str(runs / "fs_p70_M2_seed4"), str(runs / "fs-literal_p70_M2_seed4"),
+                 "--out", str(out_stem)]) == 0
+    payload = json.loads(out_stem.with_suffix(".json").read_text())
+    assert payload["strategies"] == ["fs", "fs-literal"]
+
+
+def _written_run(workdir, ids=("a", "b"), **config):
+    """A run directory of RunConfig(**config) whose report.csv has one all-zero row per id."""
+    cfg = RunConfig(**config)
+    run_dir = workdir / cfg.run_name()
+    run_dir.mkdir(parents=True)
+    write_csv([{**dict.fromkeys(REPORT_COLUMNS, 0), "sample_id": sid} for sid in ids],
+              run_dir / "report.csv", REPORT_COLUMNS)
+    (run_dir / "manifest.json").write_text(json.dumps({"config": cfg.to_dict()}))
+    return run_dir
+
+
+@pytest.mark.parametrize("case, message", [
+    ("no report.csv", "report.csv"), ("no manifest.json", "manifest.json"),
+    ("cut-off manifest", "line 1 column"), ("other samples", "sample-id mismatch"),
+    ("colliding labels", "share a directory name"), ("one arm", "two distinct"),
+    ("one run", "two reports"),
+])
+def test_bad_compare_input_is_an_error(tmp_path, capsys, case, message):
+    second = {"colliding labels": dict(adaptor_lr=0.5), "one arm": dict(seed=1)}
+    runs = [_written_run(tmp_path / "w1"),
+            _written_run(tmp_path / "w2", ("a", "c") if case == "other samples" else ("a", "b"),
+                         **second.get(case, dict(strategy="fs")))]
+    if case == "no report.csv":
+        (runs[1] / "report.csv").unlink()
+    elif case == "no manifest.json":
+        (runs[1] / "manifest.json").unlink()
+    elif case == "cut-off manifest":
+        (runs[1] / "manifest.json").write_text('{"schema_ver')
+    elif case == "one run":
+        runs.pop()
+    out_stem = tmp_path / "cmp"
+    assert main(["compare", *map(str, runs), "--out", str(out_stem)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ttalab: error:") and message in err
+    assert not out_stem.with_suffix(".json").exists()
+
+
+@pytest.mark.parametrize("case, message", [("no report.csv", "report.csv"),
+                                           ("bad value", "could not convert")])
+def test_bad_evaluate_input_is_an_error(tmp_path, capsys, case, message):
+    run_dir = _written_run(tmp_path)
+    if case == "no report.csv":
+        (run_dir / "report.csv").unlink()
+    else:
+        write_csv([{**dict.fromkeys(REPORT_COLUMNS, 0), "sample_id": "a", "mae_tta": "n/a"}],
+                  run_dir / "report.csv", REPORT_COLUMNS)
+    assert main(["evaluate", str(run_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ttalab: error:") and message in err
 
 
 def test_dump_traces(cli_workspace, capsys):
@@ -185,7 +249,7 @@ def test_retrain_reason_logged_to_stderr(tmp_path, capsys):
     ("base_channels", 0), ("seed", -1), ("adaptor_lr", -1.0), ("task_lr", 0.0),
     ("recon_hold", -1), ("percentile", 100.0), ("strategy", "anneal"), ("psnr_max", "peak"),
     ("stepz", 3), ("data", {"shift": {"noise_mul": 3}}), ("loss_weights", 1.0), ("steps", "5"),
-    ("steps", 2.5), ("n_layers", 7.0),
+    ("steps", 2.5), ("n_layers", 7.0), ("fs_faithful_pseudocode", True),
 ])
 def test_invalid_config_rejected_before_any_work(cli_workspace, tmp_path, capsys, field, value):
     _, cfg = cli_workspace
@@ -232,12 +296,12 @@ def test_every_field_flag_sets_its_field(cli_workspace, monkeypatch, tmp_path):
     monkeypatch.setattr(cli, "_run", lambda args, cfg: seen.append(cfg) or 0)
     fields = {"workdir": str(tmp_path / "elsewhere"), "seed": 11, "strategy": "tpe",
               "percentile": 42.5, "steps": 3, "adaptor_lr": 0.02, "tau_transductive": True,
-              "fs_faithful_pseudocode": True, "psnr_max": "range", "dump_traces": True}
+              "psnr_max": "range", "dump_traces": True}
     shift = {"noise_mult": 3.5, "gamma": 1.25, "blur": 0.75}
     argv = ["run-tta", "--config", str(cfg_path),
             "--workdir", fields["workdir"], "--seed", "11", "--strategy", "tpe",
             "--percentile", "42.5", "--steps", "3", "--adaptor-lr", "0.02",
-            "--tau-transductive", "--fs-faithful-pseudocode", "--psnr-max", "range",
+            "--tau-transductive", "--psnr-max", "range",
             "--dump-traces", "--noise-mult", "3.5", "--shift-gamma", "1.25",
             "--shift-blur", "0.75"]
     assert main(argv) == 0

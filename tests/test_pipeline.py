@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import logging
+import re
 from pathlib import Path
 
 import numpy as np
@@ -411,7 +412,7 @@ _FIELD_CHANGES = {
     "task_hold": 3, "task_decay": 3, "recon_lr": 2e-3, "recon_hold": 2, "recon_decay": 4,
     "batch_size": 4, "strategy": "grid", "percentile": 90.0, "steps": 3, "adaptor_lr": 1e-2,
     "adaptor_width": 4, "loss_weights": (1.0, 0.5, 1.0), "tau_transductive": True,
-    "fs_faithful_pseudocode": True, "tpe_trials": 10, "tpe_start": 3, "tpe_gamma": 0.5,
+    "tpe_trials": 10, "tpe_start": 3, "tpe_gamma": 0.5,
     "tpe_candidates": 12, "psnr_max": "range", "dump_traces": True,
     "workdir": None, "data": None,  # built from the base config in the test
 }
@@ -459,6 +460,25 @@ class TestRunIdentity:
         (run_dir / "traces").mkdir()
         with pytest.raises(P.RunConflict, match="task_lr"):
             P.open_run_dir(base)
+
+    def test_outputs_without_manifest_refused(self, tmp_path):
+        base = tiny_config(tmp_path, strategy="grid")
+        run_dir = P.open_run_dir(base)
+        (run_dir / "report.csv").write_text("grid's rows")
+        (run_dir / "manifest.json").unlink()
+        with pytest.raises(P.RunConflict, match=re.escape(str(run_dir))):
+            P.open_run_dir(dataclasses.replace(base, adaptor_lr=0.5))
+        assert not (run_dir / "manifest.json").exists()
+        assert (run_dir / "report.csv").read_text() == "grid's rows"
+
+    def test_outputs_beside_cut_off_manifest_refused(self, tmp_path):
+        base = tiny_config(tmp_path)
+        run_dir = P.open_run_dir(base)
+        (run_dir / "report.csv").write_text("")
+        (run_dir / "manifest.json").write_text('{"schema_ver')
+        with pytest.raises(P.RunConflict, match=re.escape(str(run_dir))):
+            P.open_run_dir(base)
+        assert (run_dir / "manifest.json").read_text() == '{"schema_ver'
 
     def test_failed_run_then_changed_config(self, tiny_run, monkeypatch):
         cfg = dataclasses.replace(tiny_run[0], percentile=80.0)

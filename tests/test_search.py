@@ -10,7 +10,8 @@ import ttalab.tensor as T
 from ttalab.adaptors import Configuration, adapt_steps, init_adaptors
 from ttalab.search import (AdaptEvaluator, MockObjective, TtaRunner, backward_elimination,
                            bayesian_search, calibrate_threshold, enumerate_configurations,
-                           forward_selection, grid_search, random_search, trigger)
+                           forward_selection, forward_selection_literal, grid_search,
+                           random_search, trigger)
 from ttalab.tensor import NumericError
 
 
@@ -248,14 +249,14 @@ class TestForwardSelection:
         # decreasing objective it reaches the full set in one round of k evals
         fn = lambda cfg: -float(len(cfg.active)) + 10.0
         ctx = MockObjective(3, fn)
-        out = forward_selection(ctx, faithful_pseudocode=True)
+        out = forward_selection_literal(ctx)
         assert out.omega_star.active == (1, 2, 3)
         assert ctx.budget.configs_evaluated == 3
 
     def test_faithful_pseudocode_breaks_on_first_non_improvement(self):
         fn = lambda cfg: float(len(cfg.active))
         ctx = MockObjective(3, fn)
-        out = forward_selection(ctx, faithful_pseudocode=True)
+        out = forward_selection_literal(ctx)
         # {1} improves over inf, {1,2} does not -> break
         assert out.omega_star.active == (1,)
         assert ctx.budget.configs_evaluated == 2
@@ -517,7 +518,7 @@ _SEARCHES = {
     "rand3": lambda ctx, seed: random_search(ctx, 3, np.random.default_rng(seed)),
     "rand-all": lambda ctx, seed: random_search(ctx, 2 ** ctx.k, np.random.default_rng(seed)),
     "fs": lambda ctx, seed: forward_selection(ctx),
-    "fs-literal": lambda ctx, seed: forward_selection(ctx, faithful_pseudocode=True),
+    "fs-literal": lambda ctx, seed: forward_selection_literal(ctx),
     "be": lambda ctx, seed: backward_elimination(ctx),
     "tpe": lambda ctx, seed: bayesian_search(ctx, n_trials=8, n_start=3,
                                              rng=np.random.default_rng(seed)),
@@ -550,7 +551,7 @@ class TestSearchResultIsBestEvaluated:
                 table = {c: float(r.choice([0.0, 0.5, 1.0])) for c in all_subsets(k)}
             fn = lambda cfg: table[cfg.active]
             ctx = MockObjective(k, fn, steps_per_eval=3)
-            out = forward_selection(ctx, faithful_pseudocode=True)
+            out = forward_selection_literal(ctx)
             ref_combo, ref_val, ref_evals = prefix_scan_reference(k, fn)
             assert out.omega_star.active == ref_combo
             assert out.eps_best == ref_val

@@ -6,16 +6,14 @@
 Each side is a git revision, exported into a fresh directory with
 bench_pairs.export, or a path to an existing checkout. In each, `ttalab
 pipeline` runs the config of tests/test_cli.py at percentile 60 with traces
-dumped: once per strategy, and once more for fs with
---fs-faithful-pseudocode, in a workdir of its own because it shares fs's run
-directory name. rand10 also runs at seeds 5 and 6, so that its arm averages
-three runs when `ttalab compare` then takes every run directory of that
-workdir; `ttalab evaluate` runs on each of those directories. Every
+dumped, once per strategy, all in one workdir. rand10 also runs at seeds 5
+and 6, so that its arm averages three runs when `ttalab compare` then takes
+every run directory; `ttalab evaluate` runs on each of them. Every
 report.csv, budget.csv and traces/*.json, the comparison's .csv and .json,
 each evaluate stdout and each summary.json without its wall times
 (stage_seconds and runtime_seconds) are then compared byte for byte, as are
 the set-up artifacts they rest on: each run manifest's task_checksum and
-suite_checksum, and each workdir's dataset content_sha256 (data/index.json).
+suite_checksum, and the workdir's dataset content_sha256 (data/index.json).
 The tool names each output that differs or exists on one side only, and
 exits 1 if there is any.
 """
@@ -43,10 +41,10 @@ CONFIG = {
     "recon_hold": 1, "recon_decay": 2,
     "steps": 2,
 }
-# (workdir, strategy, extra flags)
-RUNS = [("w", s, []) for s in ("grid", "rand10", "rand50", "fs", "be", "tpe", "static-all")]
-RUNS.append(("w-literal", "fs", ["--fs-faithful-pseudocode"]))
-RUNS += [("w", "rand10", ["--seed", str(seed)]) for seed in (5, 6)]
+# (strategy, extra flags)
+RUNS = [(s, []) for s in ("grid", "rand10", "rand50", "fs", "fs-literal", "be", "tpe",
+                          "static-all")]
+RUNS += [("rand10", ["--seed", str(seed)]) for seed in (5, 6)]
 # set-up artifacts, by file pattern: the fields that do not name the workdir
 SETUP_FIELDS = {"*/runs/*/manifest.json": ("task_checksum", "suite_checksum"),
                 "*/data/index.json": ("content_sha256",)}
@@ -71,8 +69,8 @@ def run_all(checkout: Path, work: Path) -> dict[str, bytes]:
     cfg = work / "config.json"
     work.mkdir(parents=True)
     cfg.write_text(json.dumps(CONFIG))
-    for workdir, strategy, extra in RUNS:
-        ttalab(checkout, "pipeline", "--config", str(cfg), "--workdir", str(work / workdir),
+    for strategy, extra in RUNS:
+        ttalab(checkout, "pipeline", "--config", str(cfg), "--workdir", str(work / "w"),
                "--strategy", strategy, "--percentile", "60", "--dump-traces", *extra)
     run_dirs = sorted((work / "w" / "runs").iterdir())
     ttalab(checkout, "compare", *map(str, run_dirs), "--out", str(work / "comparison"))

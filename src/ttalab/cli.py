@@ -53,7 +53,6 @@ def _add_tta_flags(p: argparse.ArgumentParser) -> None:
     # store_true flags default to None, so an unset flag leaves the config alone
     p.add_argument("--tau-transductive", dest="tau_transductive", action="store_true",
                    default=None, help="calibrate tau on the test set instead of the held-out split")
-    p.add_argument("--psnr-max", dest="psnr_max", choices=["generated", "range"])
     p.add_argument("--dump-traces", dest="dump_traces", action="store_true", default=None)
     p.add_argument("--noise-mult", dest="noise_mult", type=float,
                    help="OOD noise sigma multiplier")
@@ -98,7 +97,7 @@ def main(argv=None) -> int:
         cfg = _load_config(args) if args.command != "evaluate" else None
     except ValueError as err:
         parser.error(f"invalid config: {err}")
-    # progress and retrain reasons from the pipeline go to stderr
+    # the pipeline's reasons for reusing or rebuilding an artifact go to stderr
     log = logging.getLogger("ttalab")
     handler = logging.StreamHandler(sys.stderr)
     handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
@@ -114,6 +113,17 @@ def main(argv=None) -> int:
     finally:
         log.removeHandler(handler)
         log.setLevel(level)
+
+
+def _run_config(run_dir: Path) -> dict:
+    """The config that run_dir's manifest.json records; ValueError names the file."""
+    path = run_dir / "manifest.json"
+    try:
+        return json.loads(path.read_text())["config"]
+    except ValueError as err:  # cut off midway
+        raise ValueError(f"{path}: {err}") from None
+    except (KeyError, TypeError):
+        raise ValueError(f"{path}: records no config") from None
 
 
 def _run(args, cfg: RunConfig | None) -> int:
@@ -177,7 +187,7 @@ def _run(args, cfg: RunConfig | None) -> int:
 
     if args.command == "compare":
         run_dirs = [Path(d) for d in args.run_dirs]
-        configs = [json.loads((d / "manifest.json").read_text())["config"] for d in run_dirs]
+        configs = [_run_config(d) for d in run_dirs]
         labels = arm_labels(configs, [d.name for d in run_dirs])
         comparison = compare_strategies([(label, read_report_csv(d / "report.csv"))
                                          for label, d in zip(labels, run_dirs)])

@@ -64,19 +64,12 @@ class RunConfig:
     adaptor_width: int = 8
     loss_weights: tuple[float, float, float] = (1.0, 1.0, 1.0)
     tau_transductive: bool = False
-    tpe_trials: int = 20
-    tpe_start: int = 5
-    tpe_gamma: float = 0.25
-    tpe_candidates: int = 24
     # reporting
-    psnr_max: str = "generated"  # generated | range
     dump_traces: bool = False
 
     def __post_init__(self):
         if self.strategy not in STRATEGY_NAMES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
-        if self.psnr_max not in ("generated", "range"):
-            raise ValueError("psnr_max must be 'generated' or 'range'")
         if not 0.0 < self.percentile < 100.0:
             raise ValueError(f"percentile {self.percentile} is not in (0, 100)")
         if not 5 <= self.n_layers <= 9:
@@ -87,7 +80,7 @@ class RunConfig:
             raise ValueError(f"data.image_size {self.data.image_size} must be divisible by "
                              f"{size_step} with n_layers {self.n_layers}")
         for name in ("base_channels", "max_channels", "batch_size", "steps",
-                     "adaptor_width", "tpe_start", "tpe_candidates"):
+                     "adaptor_width"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.seed < 0 or self.adaptor_lr < 0:
@@ -95,10 +88,6 @@ class RunConfig:
         if len(self.loss_weights) != 3 or min(self.loss_weights) < 0:
             raise ValueError(f"loss_weights must be three non-negative weights, "
                              f"got {self.loss_weights}")
-        if self.tpe_start > self.tpe_trials:
-            raise ValueError("tpe_start must not exceed tpe_trials")
-        if not 0.0 < self.tpe_gamma < 1.0:
-            raise ValueError("tpe_gamma must be in (0,1)")
         self.task_schedule(), self.recon_schedule()  # they check lr and epoch counts
 
     def to_dict(self) -> dict:
@@ -272,10 +261,10 @@ def _to_unit(img: np.ndarray) -> np.ndarray:
     return (np.asarray(img, dtype=np.float64) + 1.0) / 2.0
 
 
-def _image_metrics(output: np.ndarray, target: np.ndarray, psnr_max: str) -> tuple[float, float, float]:
+def _image_metrics(output: np.ndarray, target: np.ndarray) -> tuple[float, float, float]:
     o, t = _to_unit(output), _to_unit(target)
     try:
-        p = psnr(o, t, max_value=None if psnr_max == "generated" else 1.0)
+        p = psnr(o, t)
     except ValueError:
         p = float("nan")
     return mae(o, t), p, ssim(o, t)
@@ -294,9 +283,7 @@ def run_tta(cfg: RunConfig, task: TaskModel, suite: ReconSuite, dataset: Dataset
     """
     runner = TtaRunner(task=task, suite=suite, m_steps=cfg.steps,
                        adaptor_lr=cfg.adaptor_lr, adaptor_width=cfg.adaptor_width,
-                       loss_weights=cfg.loss_weights, seed=cfg.seed,
-                       tpe_trials=cfg.tpe_trials, tpe_start=cfg.tpe_start,
-                       tpe_gamma=cfg.tpe_gamma, tpe_candidates=cfg.tpe_candidates)
+                       loss_weights=cfg.loss_weights, seed=cfg.seed)
     rows = []
     stream = [(split, *s) for split in ("id_test", "ood_test") for s in dataset.samples[split]]
     for sample_index, (split, sid, x, y) in enumerate(stream):
@@ -305,10 +292,10 @@ def run_tta(cfg: RunConfig, task: TaskModel, suite: ReconSuite, dataset: Dataset
         sink = [] if trace_dir is not None else None
         outcome = runner.run_sample(x, cfg.strategy, tau,
                                     sample_index=sample_index, trace_sink=sink)
-        mae_b, psnr_b, ssim_b = base = _image_metrics(outcome.base_output, y, cfg.psnr_max)
+        mae_b, psnr_b, ssim_b = base = _image_metrics(outcome.base_output, y)
         # the gate's own output, as on every untriggered row, scores as base
         mae_t, psnr_t, ssim_t = (base if outcome.output is outcome.base_output
-                                 else _image_metrics(outcome.output, y, cfg.psnr_max))
+                                 else _image_metrics(outcome.output, y))
         rows.append({
             "sample_id": sid, "split": split,
             "triggered": outcome.triggered,
@@ -444,6 +431,7 @@ def pipeline_run(cfg: RunConfig) -> RunReport:
 # strategy comparison (pairwise Wilcoxon + Bonferroni)
 
 _COMPARE_METRICS = ("ssim", "mae", "psnr")
+_ALPHA = 0.05  # family-wise significance level of each metric
 
 
 def arm_labels(configs: list[dict], run_names: list[str]) -> list[str]:
@@ -468,14 +456,14 @@ def arm_labels(configs: list[dict], run_names: list[str]) -> list[str]:
     return labels
 
 
-def compare_strategies(named_rows: list[tuple[str, list[dict]]], alpha: float = 0.05) -> dict:
+def compare_strategies(named_rows: list[tuple[str, list[dict]]]) -> dict:
     """Pairwise Wilcoxon matrix over per-sample TTA metrics, Bonferroni-corrected.
 
     named_rows: (arm label, report rows) per run; every run must cover the
     first run's sample ids. Runs with the same label (repeat seeds of one
     config, see arm_labels) are averaged per sample before testing, into one
     vector per arm and metric in sorted-id order. m = number of strategy
-    pairs; alpha_corr = alpha/m is applied per metric family.
+    pairs; alpha_corr = 0.05/m is applied per metric family.
     """
     if len(named_rows) < 2:
         raise ValueError("need at least two reports to compare")
@@ -493,7 +481,7 @@ def compare_strategies(named_rows: list[tuple[str, list[dict]]], alpha: float = 
     pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1:]]
     if not pairs:
         raise ValueError("need at least two distinct strategies")
-    alpha_corr = alpha / len(pairs)
+    alpha_corr = _ALPHA / len(pairs)
     cells = {}
     for a, b in pairs:
         cell = {}
@@ -504,7 +492,7 @@ def compare_strategies(named_rows: list[tuple[str, list[dict]]], alpha: float = 
             except ValueError as err:
                 cell[m] = {"p": None, "significant": False, "note": str(err)}
         cells[f"{a}|{b}"] = cell
-    return {"alpha": alpha, "m": len(pairs), "alpha_corr": alpha_corr,
+    return {"alpha": _ALPHA, "m": len(pairs), "alpha_corr": alpha_corr,
             "strategies": names, "cells": cells}
 
 

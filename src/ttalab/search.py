@@ -337,10 +337,6 @@ class TtaRunner:
     adaptor_width: int = 8
     loss_weights: tuple[float, float, float] = (1.0, 1.0, 1.0)
     seed: int = 0
-    tpe_trials: int = 20
-    tpe_start: int = 5
-    tpe_gamma: float = 0.25
-    tpe_candidates: int = 24
 
     def unadapted(self, x: np.ndarray) -> tuple[np.ndarray, float]:
         with T.no_grad():
@@ -385,9 +381,7 @@ class TtaRunner:
         elif strategy == "tpe":
             rng = np.random.default_rng(
                 np.random.SeedSequence(entropy=self.seed, spawn_key=(sample_index, 102)))
-            outcome = bayesian_search(ctx, n_trials=self.tpe_trials, n_start=self.tpe_start,
-                                      rng=rng, gamma=self.tpe_gamma,
-                                      candidates_per_trial=self.tpe_candidates)
+            outcome = bayesian_search(ctx, rng=rng)
         else:  # static-all
             ctx.evaluate(Configuration.of(range(1, ctx.k + 1)))
             outcome = ctx.outcome()

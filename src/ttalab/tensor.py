@@ -54,7 +54,7 @@ from __future__ import annotations
 
 import struct
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -217,13 +217,15 @@ def tensor_sum(a: Tensor) -> Tensor:
     return _from_op(data, (a,), bwd, "sum")
 
 
-def leaky_relu(a: Tensor, slope: float = 0.2) -> Tensor:
-    s = np.float32(slope)
-    data = np.maximum(a.data, a.data * s)  # slope < 1
+_LRELU_SLOPE = np.float32(0.2)
+
+
+def leaky_relu(a: Tensor) -> Tensor:
+    data = np.maximum(a.data, a.data * _LRELU_SLOPE)  # slope < 1
 
     def bwd(out: Tensor) -> None:
         if a.requires_grad:
-            a._accumulate(out.grad * np.where(a.data > 0, np.float32(1.0), s))
+            a._accumulate(out.grad * np.where(a.data > 0, np.float32(1.0), _LRELU_SLOPE))
 
     return _from_op(data, (a,), bwd, "leaky_relu")
 
@@ -531,7 +533,6 @@ def conv2d(input: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> 
     return _node(out, (input, kernel), bwd)
 
 
-_LRELU_SLOPE = np.float32(0.2)
 _ACTIVATIONS = ("lrelu", "tanh", "linear")
 
 
@@ -727,27 +728,22 @@ def zero_grads(params) -> None:
 # optimisation
 
 
+_ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class AdamState:
     """Adam moment buffers for a fixed ordered parameter list."""
 
     lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+    m: list
+    v: list
     step_count: int = 0
-    m: list = field(default_factory=list)
-    v: list = field(default_factory=list)
-
-    def bind(self, params: list[Tensor]) -> "AdamState":
-        self.m = [np.zeros_like(p.data) for p in params]
-        self.v = [np.zeros_like(p.data) for p in params]
-        return self
 
 
-def make_adam(params: list[Tensor], lr: float, beta1: float = 0.9,
-              beta2: float = 0.999, eps: float = 1e-8) -> AdamState:
-    return AdamState(lr=lr, beta1=beta1, beta2=beta2, eps=eps).bind(params)
+def make_adam(params: list[Tensor], lr: float) -> AdamState:
+    return AdamState(lr=lr, m=[np.zeros_like(p.data) for p in params],
+                     v=[np.zeros_like(p.data) for p in params])
 
 
 def adam_step(params: list[Tensor], state: AdamState) -> None:
@@ -761,7 +757,7 @@ def adam_step(params: list[Tensor], state: AdamState) -> None:
         raise ValueError("AdamState not bound to this parameter list")
     state.step_count += 1
     t = state.step_count
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = _ADAM_BETA1, _ADAM_BETA2
     bc1 = 1.0 - b1 ** t
     bc2 = 1.0 - b2 ** t
     for i, p in enumerate(params):
@@ -776,7 +772,7 @@ def adam_step(params: list[Tensor], state: AdamState) -> None:
         v += (1.0 - b2) * np.square(p.grad)
         u = m / bc1
         u *= state.lr
-        u /= np.sqrt(v / bc2) + state.eps
+        u /= np.sqrt(v / bc2) + _ADAM_EPS
         p._gemm = None  # the in-place update below would leave it stale
         p.data -= u
         _check_finite(p.data, "adam_step")

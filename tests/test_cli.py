@@ -135,6 +135,16 @@ def test_bad_compare_input_is_an_error(tmp_path, capsys, case, message):
     assert not out_stem.with_suffix(".json").exists()
 
 
+@pytest.mark.parametrize("manifest", ['{"schema_version": 1}', '{"schema_ver'],
+                         ids=["no config", "cut off"])
+def test_compare_names_the_bad_manifest(tmp_path, capsys, manifest):
+    runs = [_written_run(tmp_path / "w1"), _written_run(tmp_path / "w2", strategy="fs")]
+    bad = runs[1] / "manifest.json"
+    bad.write_text(manifest)
+    assert main(["compare", *map(str, runs), "--out", str(tmp_path / "cmp")]) == 2
+    assert capsys.readouterr().err.startswith(f"ttalab: error: {bad}: ")
+
+
 @pytest.mark.parametrize("case, message", [("no report.csv", "report.csv"),
                                            ("bad value", "could not convert")])
 def test_bad_evaluate_input_is_an_error(tmp_path, capsys, case, message):
@@ -155,19 +165,6 @@ def test_dump_traces(cli_workspace, capsys):
                  "--percentile", "85", "--sample-id", "ood_test-0000"]) == 0
     out = capsys.readouterr().out
     assert "trace files" in out
-
-
-def test_dump_traces_honours_tpe_config(cli_workspace, tmp_path, capsys):
-    root, cfg = cli_workspace
-    tpe_cfg = tmp_path / "tpe.json"
-    tpe_cfg.write_text(json.dumps({**json.loads(cfg.read_text()),
-                                   "tpe_trials": 3, "tpe_start": 2}))
-    assert main(["dump-traces", "--config", str(tpe_cfg), "--strategy", "tpe",
-                 "--tau-transductive", "--percentile", "5",
-                 "--sample-id", "ood_test-0000"]) == 0
-    trace = root / "w" / "runs" / "tpe_p5_M2_seed4" / "traces" / "ood_test-0000.json"
-    payload = json.loads(trace.read_text())
-    assert len(payload["traces"]) == 3
 
 
 def test_dump_traces_of_two_strategies_both_remain(cli_workspace, capsys):
@@ -249,7 +246,8 @@ def test_retrain_reason_logged_to_stderr(tmp_path, capsys):
     ("base_channels", 0), ("seed", -1), ("adaptor_lr", -1.0), ("task_lr", 0.0),
     ("recon_hold", -1), ("percentile", 100.0), ("strategy", "anneal"), ("psnr_max", "peak"),
     ("stepz", 3), ("data", {"shift": {"noise_mul": 3}}), ("loss_weights", 1.0), ("steps", "5"),
-    ("steps", 2.5), ("n_layers", 7.0), ("fs_faithful_pseudocode", True),
+    ("steps", 2.5), ("n_layers", 7.0), ("fs_faithful_pseudocode", True), ("tpe_trials", 20),
+    ("psnr_max", "generated"),
 ])
 def test_invalid_config_rejected_before_any_work(cli_workspace, tmp_path, capsys, field, value):
     _, cfg = cli_workspace
@@ -296,13 +294,12 @@ def test_every_field_flag_sets_its_field(cli_workspace, monkeypatch, tmp_path):
     monkeypatch.setattr(cli, "_run", lambda args, cfg: seen.append(cfg) or 0)
     fields = {"workdir": str(tmp_path / "elsewhere"), "seed": 11, "strategy": "tpe",
               "percentile": 42.5, "steps": 3, "adaptor_lr": 0.02, "tau_transductive": True,
-              "psnr_max": "range", "dump_traces": True}
+              "dump_traces": True}
     shift = {"noise_mult": 3.5, "gamma": 1.25, "blur": 0.75}
     argv = ["run-tta", "--config", str(cfg_path),
             "--workdir", fields["workdir"], "--seed", "11", "--strategy", "tpe",
             "--percentile", "42.5", "--steps", "3", "--adaptor-lr", "0.02",
-            "--tau-transductive", "--psnr-max", "range",
-            "--dump-traces", "--noise-mult", "3.5", "--shift-gamma", "1.25",
+            "--tau-transductive", "--dump-traces", "--noise-mult", "3.5", "--shift-gamma", "1.25",
             "--shift-blur", "0.75"]
     assert main(argv) == 0
     (cfg,) = seen

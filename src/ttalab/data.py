@@ -10,17 +10,19 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+from contextlib import contextmanager
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .tensor import parse_tnsr, tnsr_bytes
+from .tensor import parse_tnsr, tnsr_header
 
 SPLITS = ("train", "calib", "id_test", "ood_test")
 _SPLIT_CODES = {name: i for i, name in enumerate(SPLITS)}
 _STYLE_TASK_GAMMA = 0.5
-_INDEX_VERSION = 1
+_INDEX_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -201,45 +203,73 @@ class Dataset:
         return [(x, y) for _, x, y in self.samples[split]]
 
 
-def _assemble(spec: SyntheticTaskSpec, pair) -> Dataset:
-    """The dataset whose i-th sample of each split is pair(split, i) = (x, y)."""
+def synthesize(spec: SyntheticTaskSpec) -> Dataset:
+    """Generate the whole dataset in memory."""
     return Dataset(spec=spec, samples={
-        split: [(f"{split}-{i:04d}", *pair(split, i)) for i in range(spec.split_size(split))]
+        split: [(f"{split}-{i:04d}", *make_pair(spec, split, i))
+                for i in range(spec.split_size(split))]
         for split in SPLITS})
 
 
-def synthesize(spec: SyntheticTaskSpec) -> Dataset:
-    """Generate the whole dataset in memory."""
-    return _assemble(spec, lambda split, i: make_pair(spec, split, i))
+def _split_files(root: Path, split: str) -> tuple[Path, Path]:
+    return root / f"{split}.x.tnsr", root / f"{split}.y.tnsr"
 
 
-def _sample_files(split: str, index: int) -> tuple[str, str]:
-    return f"{split}/{index:04d}.x.tnsr", f"{split}/{index:04d}.y.tnsr"
+def _hashed_payloads(h, split: str, index: int, x: np.ndarray, y: np.ndarray) -> list[bytes]:
+    """The TNSR payloads of sample index's x and y, after feeding them to the content hash h.
+
+    The hash is index version 1's, from when each sample had its own files:
+    per sample, in split and index order and x before y, that file's relative
+    path and its TNSR bytes (header, then payload).
+    """
+    payloads = []
+    for name, arr in (("x", x), ("y", y)):
+        payload = np.asarray(arr, dtype="<f4").tobytes()
+        h.update(f"{split}/{index:04d}.{name}.tnsr".encode())
+        h.update(tnsr_header(arr.shape))
+        h.update(payload)
+        payloads.append(payload)
+    return payloads
 
 
-def _hashed(h, rel: str, blob: bytes) -> bytes:
-    """blob, after feeding rel and blob to the content hash h."""
-    h.update(rel.encode())
-    h.update(blob)
-    return blob
+@contextmanager
+def _replacing(path: Path, mode: str = "wb"):
+    """A sibling temporary file, open for writing, that replaces path once the block succeeds."""
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode) as f:
+            yield f
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def gen_dataset(spec: SyntheticTaskSpec, outdir, dump_pgm: bool = False) -> Dataset:
-    """Write TNSR pairs plus a JSON index under outdir; returns the dataset.
+    """Write each split as two TNSR files plus a JSON index under outdir; returns the dataset.
 
-    The index's content_sha256 hashes each file's relative path and bytes,
-    in split, index, x-then-y order, as they are written.
+    <split>.x.tnsr and <split>.y.tnsr each hold the split's [n, 1, S, S]
+    array. Each file is written beside its final name and moved there once
+    complete, index.json last. The index's content_sha256 is taken from the
+    samples as they are written (see _hashed_payloads for its definition).
     """
     root = Path(outdir)
     root.mkdir(parents=True, exist_ok=True)
     ds = synthesize(spec)
     h = hashlib.sha256()
     for split in SPLITS:
-        (root / split).mkdir(exist_ok=True)
-        for i, (sid, x, y) in enumerate(ds.samples[split]):
-            for rel, arr in zip(_sample_files(split, i), (x, y)):
-                (root / rel).write_bytes(_hashed(h, rel, tnsr_bytes(arr)))
-            if dump_pgm:
+        samples = ds.samples[split]
+        head = tnsr_header((len(samples), 1, spec.image_size, spec.image_size))
+        fx_path, fy_path = _split_files(root, split)
+        with _replacing(fx_path) as fx, _replacing(fy_path) as fy:
+            fx.write(head)
+            fy.write(head)
+            for i, (_, x, y) in enumerate(samples):
+                px, py = _hashed_payloads(h, split, i, x, y)
+                fx.write(px)
+                fy.write(py)
+        if dump_pgm:
+            (root / split).mkdir(exist_ok=True)
+            for i, (_, x, y) in enumerate(samples):
                 write_pgm(root / f"{split}/{i:04d}.x.pgm", x[0])
                 write_pgm(root / f"{split}/{i:04d}.y.pgm", y[0])
     index = {
@@ -248,14 +278,15 @@ def gen_dataset(spec: SyntheticTaskSpec, outdir, dump_pgm: bool = False) -> Data
         "splits": {s: spec.split_size(s) for s in SPLITS},
         "content_sha256": h.hexdigest(),
     }
-    (root / "index.json").write_text(json.dumps(index, indent=2))
+    with _replacing(root / "index.json", "w") as f:
+        f.write(json.dumps(index, indent=2))
     return ds
 
 
 def load_dataset(path) -> Dataset:
     """The dataset under path, after its content hash is checked against the index.
 
-    Each file is read once, and hashed and parsed from that one read.
+    Each file is read once; its samples are views of the split's array.
     """
     root = Path(path)
     index = json.loads((root / "index.json").read_text())
@@ -263,12 +294,21 @@ def load_dataset(path) -> Dataset:
         raise ValueError(f"unsupported dataset index version {index.get('version')}")
     spec = SyntheticTaskSpec.from_dict(index["spec"])
     h = hashlib.sha256()
-    ds = _assemble(spec, lambda split, i: [
-        parse_tnsr(_hashed(h, rel, (root / rel).read_bytes()), root / rel)
-        for rel in _sample_files(split, i)])
+    samples = {}
+    for split in SPLITS:
+        shape = (index["splits"][split], 1, spec.image_size, spec.image_size)
+        arrays = []
+        for file in _split_files(root, split):
+            arr = parse_tnsr(file.read_bytes(), file)
+            if arr.shape != shape:
+                raise ValueError(f"{file}: shape {arr.shape}, the index asks for {shape}")
+            arrays.append(arr)
+        samples[split] = [(f"{split}-{i:04d}", x, y) for i, (x, y) in enumerate(zip(*arrays))]
+        for i, (_, x, y) in enumerate(samples[split]):
+            _hashed_payloads(h, split, i, x, y)
     if h.hexdigest() != index["content_sha256"]:
         raise ValueError(f"dataset content hash mismatch under {root}")
-    return ds
+    return Dataset(spec=spec, samples=samples)
 
 
 def write_pgm(path, image: np.ndarray) -> None:

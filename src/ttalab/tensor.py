@@ -813,13 +813,18 @@ _TNSR_MAGIC = b"TNSR"
 _TNSR_VERSION = 1
 
 
+def tnsr_header(shape) -> bytes:
+    """The TNSR header of an array of the given shape; its data follows it."""
+    if len(shape) > 255:
+        raise ValueError("rank too large for TNSR")
+    return (_TNSR_MAGIC + struct.pack("<BB", _TNSR_VERSION, len(shape))
+            + struct.pack(f"<{len(shape)}I", *shape))
+
+
 def tnsr_bytes(array: np.ndarray) -> bytes:
     """The TNSR file contents of array."""
     arr = np.asarray(array, dtype="<f4")  # tobytes() serialises row-major regardless
-    if arr.ndim > 255:
-        raise ValueError("rank too large for TNSR")
-    return (_TNSR_MAGIC + struct.pack("<BB", _TNSR_VERSION, arr.ndim)
-            + struct.pack(f"<{arr.ndim}I", *arr.shape) + arr.tobytes())
+    return tnsr_header(arr.shape) + arr.tobytes()
 
 
 def parse_tnsr(blob: bytes, path="<bytes>") -> np.ndarray:

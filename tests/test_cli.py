@@ -4,8 +4,12 @@ from dataclasses import replace
 import pytest
 
 import ttalab.cli as cli
+from ttalab.data import SPLITS
 from ttalab.cli import main
 from ttalab.pipeline import REPORT_COLUMNS, RunConfig, write_csv
+
+
+SPLIT_FILES = sorted(f"{s}.{a}.tnsr" for s in SPLITS for a in "xy")
 
 
 @pytest.fixture(scope="module")
@@ -32,6 +36,17 @@ def test_gen_data(cli_workspace, capsys):
     assert main(["gen-data", "--config", str(cfg)]) == 0
     assert (root / "w" / "data" / "index.json").exists()
     assert "48 sample pairs" in capsys.readouterr().out
+
+
+def test_gen_data_pgm_previews_stay_per_sample(tmp_path, capsys):
+    config = {"workdir": str(tmp_path / "w"),
+              "data": {"image_size": 16, "train": 3, "calib": 2, "id_test": 2, "ood_test": 2}}
+    (tmp_path / "c.json").write_text(json.dumps(config))
+    assert main(["gen-data", "--config", str(tmp_path / "c.json"), "--dump-pgm"]) == 0
+    data = tmp_path / "w" / "data"
+    assert sorted(p.name for p in data.glob("*.tnsr")) == SPLIT_FILES
+    assert sorted(p.name for p in (data / "train").iterdir()) == \
+        [f"{i:04d}.{a}.pgm" for i in range(3) for a in "xy"]
 
 
 def test_train_and_calibrate(cli_workspace, capsys):
@@ -238,6 +253,17 @@ def test_retrain_reason_logged_to_stderr(tmp_path, capsys):
     assert main(["train-task", "--config", str(second)]) == 0
     err = capsys.readouterr().err
     assert "retraining" in err and "'base_lr': 0.001" in err
+
+
+def test_pipeline_data_is_two_files_per_split(tmp_path, capsys):
+    config = {"workdir": str(tmp_path / "w"), "n_layers": 5, "base_channels": 4,
+              "max_channels": 8, "task_hold": 1, "task_decay": 0, "recon_hold": 1,
+              "recon_decay": 0, "steps": 1,
+              "data": {"image_size": 16, "train": 8, "calib": 2, "id_test": 2, "ood_test": 2}}
+    (tmp_path / "c.json").write_text(json.dumps(config))
+    assert main(["pipeline", "--config", str(tmp_path / "c.json")]) == 0
+    assert sorted(p.name for p in (tmp_path / "w" / "data").iterdir()) == \
+        sorted(SPLIT_FILES + ["index.json"])
 
 
 @pytest.mark.parametrize("field, value", [

@@ -151,7 +151,7 @@ class TestDatasetOnDisk:
     def test_corruption_detected(self, tmp_path):
         spec = tiny_spec()
         gen_dataset(spec, tmp_path / "d")
-        victim = tmp_path / "d" / "train" / "0001.x.tnsr"
+        victim = tmp_path / "d" / "train.x.tnsr"
         blob = bytearray(victim.read_bytes())
         blob[-1] ^= 0xFF
         victim.write_bytes(bytes(blob))

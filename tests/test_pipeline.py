@@ -1,5 +1,8 @@
+import builtins
 import csv
 import dataclasses
+import errno
+import hashlib
 import json
 import logging
 import re
@@ -10,10 +13,10 @@ import pytest
 
 import ttalab.pipeline as P
 import ttalab.tensor as T
-from ttalab.data import SyntheticTaskSpec
+from ttalab.data import SPLITS, SyntheticTaskSpec, synthesize
 from ttalab.pipeline import (RunConfig, arm_labels, compare_strategies, metrics_summary,
                              pipeline_run, read_report_csv, write_wilcoxon_csv)
-from ttalab.tensor import NumericError
+from ttalab.tensor import NumericError, parse_tnsr, tnsr_bytes
 
 
 def tiny_config(workdir, **kw) -> RunConfig:
@@ -652,20 +655,117 @@ class TestArtifactReuse:
         cfg = self.config(tmp_path)
         first = P.ensure_dataset(cfg)
         sha = P._dataset_sha(cfg)
-        sample = tmp_path / "data" / "train" / "0000.x.tnsr"
-        clean = sample.read_bytes()
+        split_file = tmp_path / "data" / "train.x.tnsr"
+        clean = split_file.read_bytes()
         if damage == "missing":
-            sample.unlink()
+            split_file.unlink()
         else:
             data = bytearray(clean)
             data[-1] ^= 0xFF  # still a valid TNSR file, but not the indexed content
-            sample.write_bytes(bytes(data))
+            split_file.write_bytes(bytes(data))
         with caplog.at_level(logging.WARNING, logger=P.__name__):
             second = P.ensure_dataset(cfg)
         assert "regenerating" in caplog.text
-        assert P._dataset_sha(cfg) == sha and sample.read_bytes() == clean
+        assert P._dataset_sha(cfg) == sha and split_file.read_bytes() == clean
         for (x0, y0), (x1, y1) in zip(first.pairs("train"), second.pairs("train")):
             assert np.array_equal(x0, x1) and np.array_equal(y0, y1)
+
+    @pytest.mark.parametrize("damage", ["one sample short", "cut short"])
+    def test_short_split_file_named_and_regenerated(self, tmp_path, caplog, damage):
+        cfg = self.config(tmp_path)
+        P.ensure_dataset(cfg)
+        split_file = tmp_path / "data" / "train.x.tnsr"
+        clean = split_file.read_bytes()
+        if damage == "one sample short":  # a well-formed file whose header says 7, not 8
+            split_file.write_bytes(tnsr_bytes(parse_tnsr(clean)[:-1]))
+        else:
+            split_file.write_bytes(clean[:-4])
+        with pytest.raises(ValueError, match=re.escape(str(split_file))):
+            P.load_dataset(tmp_path / "data")
+        with caplog.at_level(logging.WARNING, logger=P.__name__):
+            P.ensure_dataset(cfg)
+        assert "regenerating" in caplog.text and str(split_file) in caplog.text
+        assert split_file.read_bytes() == clean
+
+    def test_version_1_data_regenerated_once(self, tmp_path, counted, caplog):
+        cfg = self.config(tmp_path)
+        first = self.build(cfg)
+        data = tmp_path / "data"
+        index = json.loads((data / "index.json").read_text())
+        # rewrite the directory in version 1's layout, one TNSR file per sample
+        # and array, whose paths and bytes in order give the same content hash
+        h = hashlib.sha256()
+        for split, samples in P.load_dataset(data).samples.items():
+            (data / split).mkdir(exist_ok=True)
+            for i, (_, x, y) in enumerate(samples):
+                for name, arr in (("x", x), ("y", y)):
+                    rel = f"{split}/{i:04d}.{name}.tnsr"
+                    (data / rel).write_bytes(tnsr_bytes(arr))
+                    h.update(rel.encode())
+                    h.update(tnsr_bytes(arr))
+                for name in "xy":
+                    (data / f"{split}.{name}.tnsr").unlink(missing_ok=True)
+        assert h.hexdigest() == index["content_sha256"]
+        (data / "index.json").write_text(json.dumps({**index, "version": 1}))
+        with caplog.at_level(logging.WARNING, logger=P.__name__):
+            second = self.build(cfg)
+        assert "regenerating" in caplog.text and "version 1" in caplog.text
+        assert second == first
+        assert counted == {"task": 1, "suite": 1}
+        assert P._dataset_sha(cfg) == index["content_sha256"]
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger=P.__name__):
+            assert self.build(cfg) == first
+        assert caplog.text == ""
+        assert (data / "train" / "0000.x.tnsr").exists()  # left for the user to delete
+
+    def test_write_cut_off_leaves_whole_files_and_regenerates(self, tmp_path, monkeypatch,
+                                                              caplog):
+        P.ensure_dataset(self.config(tmp_path))
+        data = tmp_path / "data"
+        index = (data / "index.json").read_bytes()
+        real_open = builtins.open
+
+        class DiskFull:
+            """A file that takes its header, then runs out of space."""
+
+            def __init__(self, f):
+                self.f = f
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+            def write(self, blob):
+                if self.f.tell():
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return self.f.write(blob)
+
+        def opening(file, mode="r", *args, **kwargs):
+            f = real_open(file, mode, *args, **kwargs)
+            return DiskFull(f) if Path(file).name.startswith("calib.y.tnsr") else f
+
+        cfg = self.config(tmp_path, noise_sigma=0.3)
+        monkeypatch.setattr(builtins, "open", opening)
+        with pytest.raises(OSError, match="No space left"):
+            P.ensure_dataset(cfg)
+        monkeypatch.undo()
+        assert sorted(p.name for p in data.iterdir()) == \
+            ["calib.x.tnsr", "calib.y.tnsr", "id_test.x.tnsr", "id_test.y.tnsr", "index.json",
+             "ood_test.x.tnsr", "ood_test.y.tnsr", "train.x.tnsr", "train.y.tnsr"]
+        for path in data.glob("*.tnsr"):
+            parse_tnsr(path.read_bytes(), path)
+        assert (data / "index.json").read_bytes() == index
+        with caplog.at_level(logging.INFO, logger=P.__name__):
+            dataset = P.ensure_dataset(cfg)
+        assert "regenerating" in caplog.text
+        fresh = synthesize(cfg.data)
+        for split in SPLITS:
+            for (x0, y0), (x1, y1) in zip(fresh.pairs(split), dataset.pairs(split)):
+                assert np.array_equal(x0, x1) and np.array_equal(y0, y1)
+        assert P.load_dataset(data).spec.noise_sigma == 0.3
 
     def test_empty_task_manifest_logged_and_retrained(self, tmp_path, counted, caplog):
         cfg = self.config(tmp_path)

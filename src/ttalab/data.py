@@ -233,11 +233,11 @@ def _hashed_payloads(h, split: str, index: int, x: np.ndarray, y: np.ndarray) ->
 
 
 @contextmanager
-def _replacing(path: Path, mode: str = "wb"):
-    """A sibling temporary file, open for writing, that replaces path once the block succeeds."""
+def _replacing(path: Path):
+    """A sibling temporary file, open for writing bytes; it replaces path if the block succeeds."""
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, mode) as f:
+        with open(tmp, "wb") as f:
             yield f
         os.replace(tmp, path)
     finally:
@@ -278,8 +278,8 @@ def gen_dataset(spec: SyntheticTaskSpec, outdir, dump_pgm: bool = False) -> Data
         "splits": {s: spec.split_size(s) for s in SPLITS},
         "content_sha256": h.hexdigest(),
     }
-    with _replacing(root / "index.json", "w") as f:
-        f.write(json.dumps(index, indent=2))
+    with _replacing(root / "index.json") as f:
+        f.write(json.dumps(index, indent=2).encode())
     return ds
 
 

@@ -4,10 +4,9 @@ from dataclasses import replace
 import pytest
 
 import ttalab.cli as cli
-from ttalab.data import SPLITS
 from ttalab.cli import main
+from ttalab.data import SPLITS
 from ttalab.pipeline import REPORT_COLUMNS, RunConfig, write_csv
-
 
 SPLIT_FILES = sorted(f"{s}.{a}.tnsr" for s in SPLITS for a in "xy")
 

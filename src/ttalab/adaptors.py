@@ -81,7 +81,7 @@ class LevelAdaptor:
 class AdaptorSet:
     """Input adaptor and per-level 1x1 adaptors; a configuration selects the active levels."""
 
-    def __init__(self, task: TaskModel, seed: int = 0, input_width: int = 8):
+    def __init__(self, task: TaskModel, seed: int, input_width: int):
         rng = np.random.default_rng(seed)
         self.num_levels = task.num_levels
         self.input_adaptor = InputAdaptor(task.io_channels, input_width, rng)

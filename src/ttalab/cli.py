@@ -2,7 +2,8 @@
 
 Every subcommand reads an optional JSON config (--config) and applies flag
 overrides on top; the workflow is gen-data -> train-task -> train-recon ->
-calibrate -> run-tta -> evaluate -> compare. `pipeline` runs the whole chain.
+calibrate -> pipeline -> evaluate -> compare. `pipeline` runs the whole chain,
+reusing what the earlier steps left in the workdir.
 """
 
 from __future__ import annotations
@@ -70,15 +71,14 @@ def main(argv=None) -> int:
         ("train-task", "train the translation task model"),
         ("train-recon", "train the reconstruction suite"),
         ("calibrate", "compute the trigger threshold tau"),
-        ("run-tta", "gate and adapt the test set"),
         ("evaluate", "recompute aggregates from a run's report.csv"),
         ("compare", "pairwise Wilcoxon comparison of runs"),
         ("dump-traces", "re-run listed samples and dump their step traces"),
-        ("pipeline", "run the whole chain end to end"),
+        ("pipeline", "gate and adapt the test set, building what the workdir lacks"),
     ]:
         p = sub.add_parser(name, help=helptext)
         _add_common(p)
-        if name in ("run-tta", "pipeline", "calibrate", "dump-traces"):
+        if name in ("pipeline", "calibrate", "dump-traces"):
             _add_tta_flags(p)
         if name == "gen-data":
             p.add_argument("--dump-pgm", action="store_true",
@@ -95,7 +95,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _load_config(args) if args.command != "evaluate" else None
-    except ValueError as err:
+    except (OSError, ValueError) as err:  # a --config file that does not read, or a bad value
         parser.error(f"invalid config: {err}")
     # the pipeline's reasons for reusing or rebuilding an artifact go to stderr
     log = logging.getLogger("ttalab")
@@ -160,7 +160,7 @@ def _run(args, cfg: RunConfig | None) -> int:
         print(f"wrote {len(rows) - len(quiet)} trace files under {out_dir}")
         return 0
 
-    if args.command in ("run-tta", "pipeline"):
+    if args.command == "pipeline":
         report = pipeline_run(cfg)
         s = report.summary
         print(f"run {cfg.run_name()}: tau={report.tau:.6f} "

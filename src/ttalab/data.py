@@ -101,18 +101,15 @@ def from_json(cls, d, where: str = ""):
         elif not _json_type_matches(value, default):
             raise ValueError(f"{where}{key} must be {_JSON_TYPE_NAMES[type(default)]}, "
                              f"got {value!r}")
-        kwargs[key] = tuple(value) if isinstance(default, tuple) else value
+        kwargs[key] = value
     return cls(**kwargs)
 
 
-_JSON_TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number",
-                    str: "a string", tuple: "a list of numbers"}
+_JSON_TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number", str: "a string"}
 
 
 def _json_type_matches(value, default) -> bool:
-    """An int passes for a float, and a list of numbers for a tuple."""
-    if isinstance(default, tuple):
-        return isinstance(value, (list, tuple)) and all(_json_type_matches(v, 0.0) for v in value)
+    """An int passes for a float."""
     want = (int, float) if isinstance(default, float) else type(default)
     return isinstance(value, bool) == isinstance(default, bool) and isinstance(value, want)
 

@@ -70,7 +70,6 @@ def params_checksum(params: list[Tensor]) -> str:
 class TrainReport:
     epoch_losses: list[float] = field(default_factory=list)
     lr_by_epoch: list[float] = field(default_factory=list)
-    seed: int = 0
 
 
 def train_epochs(params: list[Tensor], columns: list, batch_loss,
@@ -90,7 +89,7 @@ def train_epochs(params: list[Tensor], columns: list, batch_loss,
         raise ValueError("empty dataset")
     set_requires_grad(params, True)
     adam = make_adam(params, schedule.base_lr)
-    report = TrainReport(seed=seed)
+    report = TrainReport()
     for epoch in range(schedule.total_epochs):
         adam.lr = schedule.lr(epoch)
         order = np.random.default_rng((seed, epoch)).permutation(n)

@@ -1,9 +1,10 @@
 """Image quality metrics and paired nonparametric comparison machinery.
 
-PSNR uses the maximum intensity of the *generated* image by default (the
-conventional data-range variant is available via max_value). SSIM is the
-global single-window formula with image-wide moments; it is not clamped, so
-slightly negative values are possible and are surfaced by the harness.
+PSNR takes the maximum intensity of the *generated* image as its peak. SSIM
+is the global single-window formula with image-wide moments and fixed
+stability constants for a data range of 1 (images rescaled to [0,1]); it is
+not clamped, so slightly negative values are possible and are surfaced by
+the harness.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ def mae(y_hat, y) -> float:
     return float(np.abs(a - b).mean())
 
 
-def psnr(y_hat, y, max_value: float | None = None) -> float:
-    """10*log10(MAX^2 / MSE); MAX defaults to the generated image's maximum.
+def psnr(y_hat, y) -> float:
+    """10*log10(MAX^2 / MSE), MAX the generated image's maximum.
 
     Raises on identical images (MSE 0) and on a non-positive MAX.
     """
@@ -37,25 +38,25 @@ def psnr(y_hat, y, max_value: float | None = None) -> float:
     mse = float(np.square(a - b).mean())
     if mse == 0.0:
         raise ValueError("identical images: PSNR undefined")
-    mx = float(a.max()) if max_value is None else float(max_value)
+    mx = float(a.max())
     if mx <= 0.0:
         raise ValueError(f"maximum intensity must be positive, got {mx}")
     return float(10.0 * math.log10(mx * mx / mse))
 
 
-def ssim(y_hat, y, c1: float = 0.01 ** 2, c2: float = 0.03 ** 2) -> float:
-    """Global single-window SSIM from image-wide means, variances, covariance.
+# SSIM stability constants (K1 L)^2 and (K2 L)^2 for a data range L of 1
+_SSIM_C1 = 0.01 ** 2
+_SSIM_C2 = 0.03 ** 2
 
-    Default constants assume a data range of 1 (images rescaled to [0,1]).
-    """
-    if c1 <= 0 or c2 <= 0:
-        raise ValueError("stability constants must be positive")
+
+def ssim(y_hat, y) -> float:
+    """Global single-window SSIM from image-wide means, variances, covariance."""
     a, b = _pair(y_hat, y)
     mu_a, mu_b = a.mean(), b.mean()
     var_a, var_b = a.var(), b.var()
     cov = ((a - mu_a) * (b - mu_b)).mean()
-    num = (2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2)
-    den = (mu_a ** 2 + mu_b ** 2 + c1) * (var_a + var_b + c2)
+    num = (2.0 * mu_a * mu_b + _SSIM_C1) * (2.0 * cov + _SSIM_C2)
+    den = (mu_a ** 2 + mu_b ** 2 + _SSIM_C1) * (var_a + var_b + _SSIM_C2)
     return float(num / den)
 
 
@@ -155,12 +156,16 @@ def untested_label(note: str) -> str:
     return "untested"
 
 
-def bonferroni(p_values, alpha: float) -> list[tuple[float, bool]]:
-    """Flag each p-value significant iff p < alpha/m (strict)."""
+def bonferroni(p_values, alpha: float) -> list[tuple[float | None, bool]]:
+    """Flag each p-value significant iff p < alpha/m (strict), m = len(p_values).
+
+    None stands for an untested hypothesis: it counts in m and is never
+    significant.
+    """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0,1), got {alpha}")
-    ps = [float(p) for p in p_values]
+    ps = [None if p is None else float(p) for p in p_values]
     if len(ps) == 0:
         raise ValueError("empty p-value list")
     threshold = alpha / len(ps)
-    return [(p, p < threshold) for p in ps]
+    return [(p, p is not None and p < threshold) for p in ps]

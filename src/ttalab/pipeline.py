@@ -19,7 +19,7 @@ import numpy as np
 
 from .checkpoint import load_suite, load_task, save_suite, save_task
 from .data import Dataset, SyntheticTaskSpec, from_json, gen_dataset, load_dataset
-from .metrics import mae, psnr, ssim, untested_label, wilcoxon_signed_rank
+from .metrics import bonferroni, mae, psnr, ssim, untested_label, wilcoxon_signed_rank
 from .recon import ReconSuite, train_recon_suite
 from .search import STRATEGY_NAMES, TtaRunner, calibrate_threshold
 from .tasknet import TaskModel, train_task
@@ -55,17 +55,21 @@ class RunConfig:
     recon_lr: float = 1e-3
     recon_hold: int = 6
     recon_decay: int = 24
-    batch_size: int = 8
     # test-time adaptation
     strategy: str = "grid"
     percentile: float = 95.0
     steps: int = 5
     adaptor_lr: float = 3e-4
-    adaptor_width: int = 8
-    loss_weights: tuple[float, float, float] = (1.0, 1.0, 1.0)
     tau_transductive: bool = False
     # reporting
     dump_traces: bool = False
+
+    # fixed settings, not fields, so no config or flag sets them; they stay
+    # attributes because the training stages read cfg.batch_size, and run_tta
+    # and the benchmark harness read cfg.adaptor_width and cfg.loss_weights
+    batch_size = 8
+    adaptor_width = 8
+    loss_weights = (1.0, 1.0, 1.0)
 
     def __post_init__(self):
         if self.strategy not in STRATEGY_NAMES:
@@ -79,21 +83,15 @@ class RunConfig:
         if self.data.image_size % size_step != 0:
             raise ValueError(f"data.image_size {self.data.image_size} must be divisible by "
                              f"{size_step} with n_layers {self.n_layers}")
-        for name in ("base_channels", "max_channels", "batch_size", "steps",
-                     "adaptor_width"):
+        for name in ("base_channels", "max_channels", "steps"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.seed < 0 or self.adaptor_lr < 0:
             raise ValueError("seed and adaptor_lr must be non-negative")
-        if len(self.loss_weights) != 3 or min(self.loss_weights) < 0:
-            raise ValueError(f"loss_weights must be three non-negative weights, "
-                             f"got {self.loss_weights}")
         self.task_schedule(), self.recon_schedule()  # they check lr and epoch counts
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["loss_weights"] = list(self.loss_weights)
-        return d
+        return asdict(self)
 
     @staticmethod
     def from_dict(d: dict) -> "RunConfig":
@@ -147,7 +145,7 @@ def open_run_dir(cfg: RunConfig) -> Path:
     """
     run_dir = Path(cfg.workdir) / "runs" / cfg.run_name()
     manifest = run_dir / "manifest.json"
-    config = json.loads(json.dumps(cfg.to_dict()))
+    config = cfg.to_dict()
     if (run_dir / "report.csv").exists() or (run_dir / "traces").exists():
         try:
             saved = json.loads(manifest.read_text()).get("config", {})
@@ -341,7 +339,6 @@ def metrics_summary(rows: list[dict], which: str) -> dict:
 
 @dataclass
 class RunReport:
-    config: RunConfig
     tau: float
     rows: list[dict]
     summary: dict
@@ -358,9 +355,15 @@ def write_csv(rows: list[dict], path: Path, columns: list[str]) -> None:
 
 
 def read_report_csv(path) -> list[dict]:
+    """The typed rows of a report.csv; a row with missing or extra fields, as
+    a run killed midway leaves, raises ValueError naming the file and line."""
     rows = []
     with open(path, newline="") as f:
-        for r in csv.DictReader(f):
+        reader = csv.DictReader(f)
+        for r in reader:
+            if None in r or None in r.values():
+                raise ValueError(f"{path}: line {reader.line_num} does not have the "
+                                 f"header's {len(reader.fieldnames)} fields")
             r["triggered"] = r["triggered"] == "True"
             for key in REPORT_COLUMNS:
                 if key in ("sample_id", "split", "omega", "triggered"):
@@ -424,7 +427,7 @@ def pipeline_run(cfg: RunConfig) -> RunReport:
         "suite_checksum": suite.checksum(),
     }
     (run_dir / "manifest.json").write_text(json.dumps(manifest, indent=2))
-    return RunReport(config=cfg, tau=tau, rows=rows, summary=summary, run_dir=run_dir)
+    return RunReport(tau=tau, rows=rows, summary=summary, run_dir=run_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -462,8 +465,10 @@ def compare_strategies(named_rows: list[tuple[str, list[dict]]]) -> dict:
     named_rows: (arm label, report rows) per run; every run must cover the
     first run's sample ids. Runs with the same label (repeat seeds of one
     config, see arm_labels) are averaged per sample before testing, into one
-    vector per arm and metric in sorted-id order. m = number of strategy
-    pairs; alpha_corr = 0.05/m is applied per metric family.
+    vector per arm and metric in sorted-id order. Each metric is one family
+    over every pair, flagged by metrics.bonferroni: m = number of pairs, an
+    untested pair counts in m and is never significant, and alpha_corr =
+    0.05/m.
     """
     if len(named_rows) < 2:
         raise ValueError("need at least two reports to compare")
@@ -481,18 +486,19 @@ def compare_strategies(named_rows: list[tuple[str, list[dict]]]) -> dict:
     pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1:]]
     if not pairs:
         raise ValueError("need at least two distinct strategies")
-    alpha_corr = _ALPHA / len(pairs)
-    cells = {}
-    for a, b in pairs:
-        cell = {}
-        for m in _COMPARE_METRICS:
+    cells = {f"{a}|{b}": {} for a, b in pairs}
+    for m in _COMPARE_METRICS:
+        ps, notes = [], []
+        for a, b in pairs:
             try:
-                p = wilcoxon_signed_rank(vectors[a][m], vectors[b][m])
-                cell[m] = {"p": p, "significant": p < alpha_corr}
+                ps.append(wilcoxon_signed_rank(vectors[a][m], vectors[b][m]))
+                notes.append({})
             except ValueError as err:
-                cell[m] = {"p": None, "significant": False, "note": str(err)}
-        cells[f"{a}|{b}"] = cell
-    return {"alpha": _ALPHA, "m": len(pairs), "alpha_corr": alpha_corr,
+                ps.append(None)
+                notes.append({"note": str(err)})
+        for (a, b), (p, significant), note in zip(pairs, bonferroni(ps, _ALPHA), notes):
+            cells[f"{a}|{b}"][m] = {"p": p, "significant": significant, **note}
+    return {"alpha": _ALPHA, "m": len(pairs), "alpha_corr": _ALPHA / len(pairs),
             "strategies": names, "cells": cells}
 
 

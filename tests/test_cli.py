@@ -1,5 +1,7 @@
 import json
+import shlex
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +11,7 @@ from ttalab.data import SPLITS
 from ttalab.pipeline import REPORT_COLUMNS, RunConfig, write_csv
 
 SPLIT_FILES = sorted(f"{s}.{a}.tnsr" for s in SPLITS for a in "xy")
+REPO = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture(scope="module")
@@ -61,7 +64,7 @@ def test_train_and_calibrate(cli_workspace, capsys):
 
 def test_run_tta_and_evaluate(cli_workspace, capsys):
     root, cfg = cli_workspace
-    assert main(["run-tta", "--config", str(cfg), "--strategy", "fs",
+    assert main(["pipeline", "--config", str(cfg), "--strategy", "fs",
                  "--percentile", "90"]) == 0
     run_dir = root / "w" / "runs" / "fs_p90_M2_seed4"
     assert (run_dir / "report.csv").exists()
@@ -73,7 +76,7 @@ def test_run_tta_and_evaluate(cli_workspace, capsys):
 
 def test_compare(cli_workspace, capsys, tmp_path):
     root, cfg = cli_workspace
-    assert main(["run-tta", "--config", str(cfg), "--strategy", "be",
+    assert main(["pipeline", "--config", str(cfg), "--strategy", "be",
                  "--percentile", "90"]) == 0
     out_stem = tmp_path / "cmp"
     assert main(["compare",
@@ -90,7 +93,7 @@ def test_compare_keeps_percentiles_apart(cli_workspace, capsys, tmp_path):
     root, cfg = cli_workspace
     runs = root / "w" / "runs"
     for percentile in ("90", "80"):
-        assert main(["run-tta", "--config", str(cfg), "--strategy", "grid",
+        assert main(["pipeline", "--config", str(cfg), "--strategy", "grid",
                      "--percentile", percentile]) == 0
     out_stem = tmp_path / "cmp"
     assert main(["compare", str(runs / "grid_p90_M2_seed4"), str(runs / "grid_p80_M2_seed4"),
@@ -103,13 +106,19 @@ def test_fs_and_fs_literal_share_a_workdir(cli_workspace, capsys, tmp_path):
     root, cfg = cli_workspace
     runs = root / "w" / "runs"
     for strategy in ("fs", "fs-literal"):
-        assert main(["run-tta", "--config", str(cfg), "--strategy", strategy,
+        assert main(["pipeline", "--config", str(cfg), "--strategy", strategy,
                      "--percentile", "70"]) == 0
     out_stem = tmp_path / "cmp"
     assert main(["compare", str(runs / "fs_p70_M2_seed4"), str(runs / "fs-literal_p70_M2_seed4"),
                  "--out", str(out_stem)]) == 0
     payload = json.loads(out_stem.with_suffix(".json").read_text())
     assert payload["strategies"] == ["fs", "fs-literal"]
+
+
+def _cut_off_last_row(report):
+    """report.csv as a run killed while writing its last row leaves it."""
+    text = report.read_text()
+    report.write_text(text[:text.rindex(",", 0, len(text) - 1)])
 
 
 def _written_run(workdir, ids=("a", "b"), **config):
@@ -127,7 +136,7 @@ def _written_run(workdir, ids=("a", "b"), **config):
     ("no report.csv", "report.csv"), ("no manifest.json", "manifest.json"),
     ("cut-off manifest", "line 1 column"), ("other samples", "sample-id mismatch"),
     ("colliding labels", "share a directory name"), ("one arm", "two distinct"),
-    ("one run", "two reports"),
+    ("one run", "two reports"), ("cut-off row", "report.csv: line 3 does not have"),
 ])
 def test_bad_compare_input_is_an_error(tmp_path, capsys, case, message):
     second = {"colliding labels": dict(adaptor_lr=0.5), "one arm": dict(seed=1)}
@@ -142,6 +151,8 @@ def test_bad_compare_input_is_an_error(tmp_path, capsys, case, message):
         (runs[1] / "manifest.json").write_text('{"schema_ver')
     elif case == "one run":
         runs.pop()
+    elif case == "cut-off row":
+        _cut_off_last_row(runs[1] / "report.csv")
     out_stem = tmp_path / "cmp"
     assert main(["compare", *map(str, runs), "--out", str(out_stem)]) == 2
     err = capsys.readouterr().err
@@ -160,11 +171,14 @@ def test_compare_names_the_bad_manifest(tmp_path, capsys, manifest):
 
 
 @pytest.mark.parametrize("case, message", [("no report.csv", "report.csv"),
-                                           ("bad value", "could not convert")])
+                                           ("bad value", "could not convert"),
+                                           ("cut-off row", "report.csv: line 3 does not have")])
 def test_bad_evaluate_input_is_an_error(tmp_path, capsys, case, message):
     run_dir = _written_run(tmp_path)
     if case == "no report.csv":
         (run_dir / "report.csv").unlink()
+    elif case == "cut-off row":
+        _cut_off_last_row(run_dir / "report.csv")
     else:
         write_csv([{**dict.fromkeys(REPORT_COLUMNS, 0), "sample_id": "a", "mae_tta": "n/a"}],
                   run_dir / "report.csv", REPORT_COLUMNS)
@@ -196,7 +210,7 @@ def test_dump_traces_of_two_strategies_both_remain(cli_workspace, capsys):
 
 def test_run_with_other_config_refused(cli_workspace, capsys):
     root, cfg = cli_workspace
-    args = ["run-tta", "--config", str(cfg), "--strategy", "fs", "--percentile", "75"]
+    args = ["pipeline", "--config", str(cfg), "--strategy", "fs", "--percentile", "75"]
     assert main(args) == 0
     report = root / "w" / "runs" / "fs_p75_M2_seed4" / "report.csv"
     before = report.read_bytes()
@@ -237,7 +251,7 @@ def test_invalid_shift_flag_rejected(cli_workspace, capsys, flag, value):
 def test_unknown_strategy_flag_rejected(cli_workspace):
     _, cfg = cli_workspace
     with pytest.raises(SystemExit):
-        main(["run-tta", "--config", str(cfg), "--strategy", "bogus"])
+        main(["pipeline", "--config", str(cfg), "--strategy", "bogus"])
 
 
 def test_retrain_reason_logged_to_stderr(tmp_path, capsys):
@@ -266,13 +280,13 @@ def test_pipeline_data_is_two_files_per_split(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("field, value", [
-    ("steps", 0), ("adaptor_width", 0), ("batch_size", 0), ("loss_weights", [1.0, -1.0, 1.0]),
-    ("tpe_start", 21), ("tpe_gamma", 2.0), ("tpe_candidates", 0), ("n_layers", 4),
-    ("base_channels", 0), ("seed", -1), ("adaptor_lr", -1.0), ("task_lr", 0.0),
-    ("recon_hold", -1), ("percentile", 100.0), ("strategy", "anneal"), ("psnr_max", "peak"),
-    ("stepz", 3), ("data", {"shift": {"noise_mul": 3}}), ("loss_weights", 1.0), ("steps", "5"),
-    ("steps", 2.5), ("n_layers", 7.0), ("fs_faithful_pseudocode", True), ("tpe_trials", 20),
-    ("psnr_max", "generated"),
+    ("steps", 0), ("tpe_start", 21), ("tpe_gamma", 2.0),
+    ("loss_weights", [1.0, 1.0, 1.0]),  # a removed field, refused as unknown
+    ("tpe_candidates", 0), ("n_layers", 4), ("base_channels", 0), ("seed", -1),
+    ("adaptor_lr", -1.0), ("task_lr", 0.0), ("recon_hold", -1), ("percentile", 100.0),
+    ("strategy", "anneal"), ("psnr_max", "peak"), ("stepz", 3), ("steps", "5"), ("steps", 2.5),
+    ("data", {"shift": {"noise_mul": 3}}), ("n_layers", 7.0), ("fs_faithful_pseudocode", True),
+    ("tpe_trials", 20), ("psnr_max", "generated"),
 ])
 def test_invalid_config_rejected_before_any_work(cli_workspace, tmp_path, capsys, field, value):
     _, cfg = cli_workspace
@@ -285,6 +299,16 @@ def test_invalid_config_rejected_before_any_work(cli_workspace, tmp_path, capsys
         main(["calibrate", "--config", str(path)])
     assert exit_info.value.code == 2
     assert "invalid config" in capsys.readouterr().err
+    assert not (tmp_path / "w").exists()
+
+
+def test_missing_config_file_is_an_error(tmp_path, capsys):
+    missing = tmp_path / "nosuch.json"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["calibrate", "--config", str(missing), "--workdir", str(tmp_path / "w")])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid config" in err and str(missing) in err
     assert not (tmp_path / "w").exists()
 
 
@@ -321,7 +345,7 @@ def test_every_field_flag_sets_its_field(cli_workspace, monkeypatch, tmp_path):
               "percentile": 42.5, "steps": 3, "adaptor_lr": 0.02, "tau_transductive": True,
               "dump_traces": True}
     shift = {"noise_mult": 3.5, "gamma": 1.25, "blur": 0.75}
-    argv = ["run-tta", "--config", str(cfg_path),
+    argv = ["pipeline", "--config", str(cfg_path),
             "--workdir", fields["workdir"], "--seed", "11", "--strategy", "tpe",
             "--percentile", "42.5", "--steps", "3", "--adaptor-lr", "0.02",
             "--tau-transductive", "--dump-traces", "--noise-mult", "3.5", "--shift-gamma", "1.25",
@@ -333,3 +357,23 @@ def test_every_field_flag_sets_its_field(cli_workspace, monkeypatch, tmp_path):
     base = RunConfig.from_dict(json.loads(cfg_path.read_text()))
     data = replace(base.data, shift=replace(base.data.shift, **shift))
     assert cfg == base.with_overrides(data=data, **fields)
+
+
+def test_every_readme_command_parses(monkeypatch):
+    """Each `ttalab ...` line of the README's code blocks parses, and its
+    config (configs/example.json) loads, from the repo root."""
+    commands, in_block = [], False
+    for line in (REPO / "README.md").read_text().splitlines():
+        if line.startswith("```"):
+            in_block = not in_block
+        elif in_block and line.startswith("ttalab "):
+            commands.append(line)
+    assert len(commands) >= 8
+    monkeypatch.chdir(REPO)
+    monkeypatch.setattr(cli, "_run", lambda args, cfg: 0)
+    for command in commands:
+        try:
+            code = main(shlex.split(command)[1:])
+        except SystemExit as exit_info:
+            code = exit_info.code
+        assert code == 0, command

@@ -51,18 +51,12 @@ class TestPsnr:
         ref = 10 * math.log10(a.max() ** 2 / np.mean((a - b) ** 2))
         assert psnr(a, b) == pytest.approx(ref, abs=1e-6)
 
-    def test_range_variant(self):
-        a = rng.random((6, 6)) * 0.5
-        b = rng.random((6, 6)) * 0.5
-        ref = 10 * math.log10(1.0 / np.mean((a - b) ** 2))
-        assert psnr(a, b, max_value=1.0) == pytest.approx(ref, abs=1e-6)
-
     def test_monotone_in_noise(self):
         base = rng.random((16, 16)) * 0.8 + 0.1
         vals = []
         for scale in (0.01, 0.03, 0.09, 0.27):
             noisy = base + scale * rng.standard_normal((16, 16))
-            vals.append(psnr(base, noisy, max_value=1.0))
+            vals.append(psnr(base, noisy))  # base is the generated image: one peak
         assert all(x > y for x, y in zip(vals, vals[1:]))
 
 
@@ -85,10 +79,6 @@ class TestSsim:
     def test_no_clamping_can_go_negative(self):
         a = np.array([[0.0, 1.0], [0.0, 1.0]])
         assert ssim(a, 1.0 - a) < 0.0
-
-    def test_invalid_constants(self):
-        with pytest.raises(ValueError):
-            ssim(np.ones((2, 2)), np.ones((2, 2)), c1=0.0)
 
 
 def wilcoxon_enumeration_oracle(a, b):
@@ -209,6 +199,10 @@ class TestBonferroni:
     def test_ten_significant_below_threshold(self):
         out = bonferroni([0.004] + [0.5] * 9, 0.05)
         assert out[0] == (0.004, True)
+
+    def test_untested_counts_in_m_and_is_never_significant(self):
+        out = bonferroni([None, 0.004] + [0.5] * 8, 0.05)
+        assert out[:2] == [(None, False), (0.004, True)]
 
     def test_invalid_alpha(self):
         with pytest.raises(ValueError):

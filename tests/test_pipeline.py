@@ -14,6 +14,7 @@ import pytest
 import ttalab.pipeline as P
 import ttalab.tensor as T
 from ttalab.data import SPLITS, SyntheticTaskSpec, synthesize
+from ttalab.metrics import bonferroni
 from ttalab.pipeline import (RunConfig, arm_labels, compare_strategies, metrics_summary,
                              pipeline_run, read_report_csv, write_wilcoxon_csv)
 from ttalab.tensor import NumericError, parse_tnsr, tnsr_bytes
@@ -162,6 +163,24 @@ class TestCompare:
                                          ("c", report.rows)])
         assert comparison["m"] == 3
         assert comparison["alpha_corr"] == pytest.approx(0.05 / 3)
+
+    def test_each_metric_is_one_bonferroni_family(self, tiny_run, monkeypatch):
+        _, report = tiny_run
+        rows_b = [dict(r) for r in report.rows]
+        for r in rows_b:
+            r["mae_tta"] += 0.01
+        calls = []
+
+        def spy(p_values, alpha):
+            calls.append(list(p_values))
+            return bonferroni(p_values, alpha)
+
+        monkeypatch.setattr(P, "bonferroni", spy)
+        comparison = compare_strategies([("a", report.rows), ("b", rows_b),
+                                         ("c", report.rows)])
+        cells = comparison["cells"]
+        assert calls == [[cells[pair][m]["p"] for pair in cells] for m in ("ssim", "mae", "psnr")]
+        assert len(cells) == 3 and calls[0] == [None, None, None]
 
     def test_known_shift_significant(self, tiny_run):
         _, report = tiny_run
@@ -440,9 +459,8 @@ class TestTraces:
 _FIELD_CHANGES = {
     "seed": 4, "n_layers": 5, "base_channels": 8, "max_channels": 32, "task_lr": 1e-3,
     "task_hold": 3, "task_decay": 3, "recon_lr": 2e-3, "recon_hold": 2, "recon_decay": 4,
-    "batch_size": 4, "strategy": "grid", "percentile": 90.0, "steps": 3, "adaptor_lr": 1e-2,
-    "adaptor_width": 4, "loss_weights": (1.0, 0.5, 1.0), "tau_transductive": True,
-    "dump_traces": True,
+    "strategy": "grid", "percentile": 90.0, "steps": 3, "adaptor_lr": 1e-2,
+    "tau_transductive": True, "dump_traces": True,
     "workdir": None, "data": None,  # built from the base config in the test
 }
 
@@ -500,6 +518,11 @@ class TestRunIdentity:
         manifest.write_text(json.dumps(saved))
         with pytest.raises(P.RunConflict, match="tpe_trials"):
             P.open_run_dir(base)
+        # the fixed settings were fields before, so older manifests name them
+        saved["config"].update(batch_size=8, adaptor_width=8, loss_weights=[1.0, 1.0, 1.0])
+        manifest.write_text(json.dumps(saved))
+        with pytest.raises(P.RunConflict, match="adaptor_width, batch_size, loss_weights"):
+            P.open_run_dir(base)
 
     def test_outputs_without_manifest_refused(self, tmp_path):
         base = tiny_config(tmp_path, strategy="grid")
@@ -538,8 +561,8 @@ class TestRunIdentity:
     def test_finished_run_kept(self, tiny_run):
         cfg, report = tiny_run
         before = {f.name: f.read_bytes() for f in report.run_dir.iterdir() if f.is_file()}
-        with pytest.raises(P.RunConflict, match="loss_weights"):
-            pipeline_run(dataclasses.replace(cfg, loss_weights=(1.0, 0.0, 1.0)))
+        with pytest.raises(P.RunConflict, match="adaptor_lr"):
+            pipeline_run(dataclasses.replace(cfg, adaptor_lr=1e-2))
         assert {f.name: f.read_bytes() for f in report.run_dir.iterdir()
                 if f.is_file()} == before
 
@@ -588,7 +611,7 @@ class TestArtifactReuse:
         assert counted == {"task": 2, "suite": 2}
         assert second[0] != first[0] and second[1] != first[1]
 
-    @pytest.mark.parametrize("override", [dict(task_lr=1e-3), dict(batch_size=4),
+    @pytest.mark.parametrize("override", [dict(task_lr=1e-3), dict(task_hold=2),
                                           dict(n_layers=6), dict(base_channels=8),
                                           dict(seed=1)])
     def test_changed_task_training_retrains_task_and_suite(self, tmp_path, counted, override):

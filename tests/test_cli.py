@@ -287,6 +287,8 @@ def test_pipeline_data_is_two_files_per_split(tmp_path, capsys):
     ("strategy", "anneal"), ("psnr_max", "peak"), ("stepz", 3), ("steps", "5"), ("steps", 2.5),
     ("data", {"shift": {"noise_mul": 3}}), ("n_layers", 7.0), ("fs_faithful_pseudocode", True),
     ("tpe_trials", 20), ("psnr_max", "generated"),
+    # removed fields, refused as unknown whatever their value
+    ("adaptor_width", 0), ("batch_size", 0), ("loss_weights", 1.0),
 ])
 def test_invalid_config_rejected_before_any_work(cli_workspace, tmp_path, capsys, field, value):
     _, cfg = cli_workspace

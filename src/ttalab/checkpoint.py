@@ -14,6 +14,7 @@ import hashlib
 import json
 from pathlib import Path
 
+from .data import replacing
 from .recon import ReconSuite
 from .tasknet import TaskModel
 from .tensor import Tensor, parse_tnsr, tnsr_bytes
@@ -32,19 +33,25 @@ def _suite_params(suite: ReconSuite) -> list[tuple[str, Tensor]]:
 
 
 def _save(path, kind: str, named: list[tuple[str, Tensor]], fields: dict) -> None:
-    """Write every blob under path, then the manifest: kind, version, fields, blobs."""
+    """Write every blob under path, then the manifest: kind, version, fields, blobs.
+
+    Each file is written beside its name and moved there once complete, so a
+    save cut off midway leaves no partial file under a final name.
+    """
     root = Path(path)
     entries = []
     for name, t in named:
         fname = f"{name}.tnsr"
         blob = tnsr_bytes(t.data)
         (root / fname).parent.mkdir(parents=True, exist_ok=True)
-        (root / fname).write_bytes(blob)
+        with replacing(root / fname) as f:
+            f.write(blob)
         entries.append({"name": name, "file": fname, "sha256": hashlib.sha256(blob).hexdigest()})
     for stale in root.glob("member_*/manifest.json"):  # left by a version-1 suite
         stale.unlink()
     manifest = {"kind": kind, "version": _CKPT_VERSION, **fields, "params": entries}
-    (root / "manifest.json").write_text(json.dumps(manifest, indent=2))
+    with replacing(root / "manifest.json") as f:
+        f.write(json.dumps(manifest, indent=2).encode())
 
 
 def _load(path, kind: str, build):

@@ -114,37 +114,14 @@ def _json_type_matches(value, default) -> bool:
     return isinstance(value, bool) == isinstance(default, bool) and isinstance(value, want)
 
 
-def _clean_image(size: int, rng: np.random.Generator) -> np.ndarray:
-    # fixed component counts and tight amplitude ranges keep per-image
-    # reconstruction difficulty uniform, which keeps the eps_y calibration tight
-    yy, xx = np.mgrid[0:size, 0:size].astype(np.float64) / (size - 1)
-    img = np.zeros((size, size), dtype=np.float64)
-    for _ in range(3):
-        cx, cy = rng.uniform(0.15, 0.85, size=2)
-        s = rng.uniform(0.10, 0.22)
-        amp = rng.uniform(0.5, 0.9) * rng.choice([-1.0, 1.0])
-        img += amp * np.exp(-(((xx - cx) ** 2 + (yy - cy) ** 2) / (2.0 * s * s)))
-    x0, y0 = rng.uniform(0.1, 0.6, size=2)
-    w, h = rng.uniform(0.2, 0.35, size=2)
-    amp = rng.uniform(0.4, 0.7) * rng.choice([-1.0, 1.0])
-    img += amp * ((xx >= x0) & (xx <= x0 + w) & (yy >= y0) & (yy <= y0 + h))
-    return np.tanh(1.2 * img).astype(np.float32)
-
-
-def gaussian_filter(img: np.ndarray, sigma: float) -> np.ndarray:
-    """Separable Gaussian blur with reflected borders, of the input's dtype.
-
-    Bitwise equal to scipy.ndimage.gaussian_filter(img, sigma) at its
-    defaults (mode "reflect", truncate 4): the same normalised weights,
-    float64 taps summed centre first and then outermost pair first, and a
-    cast back to the input dtype after each axis.
-    """
+def _filter_axes(img: np.ndarray, sigma: float, axes) -> np.ndarray:
+    """gaussian_filter along the given axes only, in ascending order."""
     radius = int(4.0 * float(sigma) + 0.5)
     taps = np.arange(-radius, radius + 1)
     phi = np.exp(-0.5 / (sigma * sigma) * taps ** 2)
     weights = phi / phi.sum()
     out = img
-    for axis in range(img.ndim):
+    for axis in axes:
         pad = [(0, 0)] * img.ndim
         pad[axis] = (radius, radius)
         padded = np.moveaxis(np.pad(out.astype(np.float64), pad, mode="symmetric"), axis, 0)
@@ -157,37 +134,89 @@ def gaussian_filter(img: np.ndarray, sigma: float) -> np.ndarray:
     return out
 
 
+def gaussian_filter(img: np.ndarray, sigma: float) -> np.ndarray:
+    """Separable Gaussian blur with reflected borders, of the input's dtype.
+
+    Bitwise equal to scipy.ndimage.gaussian_filter(img, sigma) at its
+    defaults (mode "reflect", truncate 4): the same normalised weights,
+    float64 taps summed centre first and then outermost pair first, and a
+    cast back to the input dtype after each axis.
+    """
+    return _filter_axes(img, sigma, range(img.ndim))
+
+
 def _contrast_remap(img: np.ndarray, gamma: float) -> np.ndarray:
     u = np.clip((img + 1.0) / 2.0, 0.0, 1.0)
     return (2.0 * np.power(u, gamma) - 1.0).astype(np.float32)
 
 
-def _noise_field(shape, mix: float, rng: np.random.Generator) -> np.ndarray:
-    white = rng.standard_normal(shape)
-    if mix == 0.0:
-        return white
-    smooth = gaussian_filter(rng.standard_normal(shape), 2.5)
-    smooth /= smooth.std() + 1e-12
-    return (1.0 - mix) * white + mix * smooth
+# samples synthesised together: their stacked float64 arrays stay near 1 MB
+# each at the default 32x32 images
+_BLOCK = 128
 
 
-def make_pair(spec: SyntheticTaskSpec, split: str, index: int) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic (x, y) pair, both [1,S,S] float32 in [-1,1]."""
+def _synthesize_block(spec: SyntheticTaskSpec, split: str,
+                      indices: range) -> tuple[np.ndarray, np.ndarray]:
+    """x and y of split's samples at indices, each [n, 1, S, S] float32 in [-1, 1].
+
+    Each sample draws from its own RNG, keyed by (seed, split, index): three
+    Gaussian blobs (centre, width, signed amplitude), one rectangle (corner,
+    size, signed amplitude), then its white and its smooth noise field. The
+    image arithmetic runs on the stacked [n, S, S] arrays, elementwise and
+    per sample (the blurs along the image axes, the smooth field's std over
+    each image), so every sample is bitwise the same in any block.
+    """
     if split not in SPLITS:
         raise ValueError(f"unknown split {split!r}")
-    rng = np.random.default_rng((spec.seed, _SPLIT_CODES[split], index))
-    clean = _clean_image(spec.image_size, rng)
+    size, n, mix = spec.image_size, len(indices), spec.noise_mix
+    blobs = np.empty((4, 3, n, 1, 1))  # cx, cy, width, amplitude per blob
+    rect = np.empty((5, n, 1, 1))  # x0, y0, width, height, amplitude
+    white = np.empty((n, size, size))
+    smooth = np.empty((n, size, size))
+    for j, index in enumerate(indices):
+        rng = np.random.default_rng((spec.seed, _SPLIT_CODES[split], index))
+        for b in range(3):
+            blobs[:2, b, j, 0, 0] = rng.uniform(0.15, 0.85, size=2)
+            blobs[2, b, j] = rng.uniform(0.10, 0.22)
+            blobs[3, b, j] = rng.uniform(0.5, 0.9) * rng.choice([-1.0, 1.0])
+        rect[:2, j, 0, 0] = rng.uniform(0.1, 0.6, size=2)
+        rect[2:4, j, 0, 0] = rng.uniform(0.2, 0.35, size=2)
+        rect[4, j] = rng.uniform(0.4, 0.7) * rng.choice([-1.0, 1.0])
+        white[j] = rng.standard_normal((size, size))
+        if mix != 0.0:
+            smooth[j] = rng.standard_normal((size, size))
+
+    # fixed component counts and tight amplitude ranges keep per-image
+    # reconstruction difficulty uniform, which keeps the eps_y calibration tight
+    yy, xx = np.mgrid[0:size, 0:size].astype(np.float64) / (size - 1)
+    img = np.zeros((n, size, size), dtype=np.float64)
+    for cx, cy, s, amp in blobs.transpose(1, 0, 2, 3, 4):
+        img += amp * np.exp(-(((xx - cx) ** 2 + (yy - cy) ** 2) / (2.0 * s * s)))
+    x0, y0, w, h, amp = rect
+    img += amp * ((xx >= x0) & (xx <= x0 + w) & (yy >= y0) & (yy <= y0 + h))
+    clean = np.tanh(1.2 * img).astype(np.float32)
+
     y = clean if spec.kind == "denoise" else _contrast_remap(clean, _STYLE_TASK_GAMMA)
     shifted = split == "ood_test"
     base = clean
     if shifted and spec.shift.gamma != 1.0:
         base = _contrast_remap(base, spec.shift.gamma)
     if shifted and spec.shift.blur > 0.0:
-        base = gaussian_filter(base, spec.shift.blur).astype(np.float32)
+        base = _filter_axes(base, spec.shift.blur, (1, 2))
+    noise = white
+    if mix != 0.0:
+        smooth = _filter_axes(smooth, 2.5, (1, 2))
+        smooth /= smooth.std(axis=(1, 2), keepdims=True) + 1e-12
+        noise = (1.0 - mix) * white + mix * smooth
     sigma = spec.noise_sigma * (spec.shift.noise_mult if shifted else 1.0)
-    x = base + sigma * _noise_field(base.shape, spec.noise_mix, rng)
-    x = np.clip(x, -1.0, 1.0).astype(np.float32)
-    return x[None], y[None]
+    x = np.clip(base + sigma * noise, -1.0, 1.0).astype(np.float32)
+    return x[:, None], y[:, None]
+
+
+def make_pair(spec: SyntheticTaskSpec, split: str, index: int) -> tuple[np.ndarray, np.ndarray]:
+    """Deterministic (x, y) pair, both [1,S,S] float32 in [-1,1]."""
+    x, y = _synthesize_block(spec, split, range(index, index + 1))
+    return x[0], y[0]
 
 
 @dataclass
@@ -201,11 +230,16 @@ class Dataset:
 
 
 def synthesize(spec: SyntheticTaskSpec) -> Dataset:
-    """Generate the whole dataset in memory."""
-    return Dataset(spec=spec, samples={
-        split: [(f"{split}-{i:04d}", *make_pair(spec, split, i))
-                for i in range(spec.split_size(split))]
-        for split in SPLITS})
+    """Generate the whole dataset in memory, _BLOCK samples at a time."""
+    samples = {}
+    for split in SPLITS:
+        n = spec.split_size(split)
+        samples[split] = []
+        for start in range(0, n, _BLOCK):
+            xs, ys = _synthesize_block(spec, split, range(start, min(start + _BLOCK, n)))
+            samples[split] += [(f"{split}-{start + j:04d}", x, y)
+                               for j, (x, y) in enumerate(zip(xs, ys))]
+    return Dataset(spec=spec, samples=samples)
 
 
 def _split_files(root: Path, split: str) -> tuple[Path, Path]:
@@ -230,7 +264,7 @@ def _hashed_payloads(h, split: str, index: int, x: np.ndarray, y: np.ndarray) ->
 
 
 @contextmanager
-def _replacing(path: Path):
+def replacing(path: Path):
     """A sibling temporary file, open for writing bytes; it replaces path if the block succeeds."""
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
@@ -257,7 +291,7 @@ def gen_dataset(spec: SyntheticTaskSpec, outdir, dump_pgm: bool = False) -> Data
         samples = ds.samples[split]
         head = tnsr_header((len(samples), 1, spec.image_size, spec.image_size))
         fx_path, fy_path = _split_files(root, split)
-        with _replacing(fx_path) as fx, _replacing(fy_path) as fy:
+        with replacing(fx_path) as fx, replacing(fy_path) as fy:
             fx.write(head)
             fy.write(head)
             for i, (_, x, y) in enumerate(samples):
@@ -275,7 +309,7 @@ def gen_dataset(spec: SyntheticTaskSpec, outdir, dump_pgm: bool = False) -> Data
         "splits": {s: spec.split_size(s) for s in SPLITS},
         "content_sha256": h.hexdigest(),
     }
-    with _replacing(root / "index.json") as f:
+    with replacing(root / "index.json") as f:
         f.write(json.dumps(index, indent=2).encode())
     return ds
 

@@ -22,7 +22,7 @@ from .data import Dataset, SyntheticTaskSpec, from_json, gen_dataset, load_datas
 from .metrics import bonferroni, mae, psnr, ssim, untested_label, wilcoxon_signed_rank
 from .recon import ReconSuite, train_recon_suite
 from .search import STRATEGY_NAMES, TtaRunner, calibrate_threshold
-from .tasknet import TaskModel, train_task
+from .tasknet import TaskModel, default_layer_plan, train_task
 from .tensor import LrSchedule
 
 log = logging.getLogger(__name__)
@@ -200,10 +200,12 @@ def _dataset_sha(cfg: RunConfig) -> str:
 
 def ensure_task(cfg: RunConfig, dataset: Dataset) -> TaskModel:
     tdir = Path(cfg.workdir) / "task"
+    # the layer plan, not the channel settings: settings that give one plan
+    # give one model
+    plan = default_layer_plan(cfg.n_layers, 1, cfg.base_channels, cfg.max_channels)
     provenance = {"dataset_sha256": _dataset_sha(cfg),
                   "schedule": asdict(cfg.task_schedule()), "batch_size": cfg.batch_size,
-                  "n_layers": cfg.n_layers, "base_channels": cfg.base_channels,
-                  "max_channels": cfg.max_channels, "seed": cfg.seed}
+                  "layer_plan": [asdict(spec) for spec in plan], "seed": cfg.seed}
 
     def build():
         model = TaskModel(n_layers=cfg.n_layers, io_channels=1, image_size=cfg.data.image_size,
@@ -243,10 +245,13 @@ def ensure_suite(cfg: RunConfig, task: TaskModel, dataset: Dataset) -> ReconSuit
 def calibration_errors(task: TaskModel, suite: ReconSuite, dataset: Dataset,
                        transductive: bool = False) -> list[float]:
     """The gate statistic, unadapted eps_y, on the calibration split (or the
-    whole test set)."""
-    gate = TtaRunner(task=task, suite=suite)
+    whole test set), gated in blocks of the training batch size."""
+    runner = TtaRunner(task=task, suite=suite)
     splits = ("id_test", "ood_test") if transductive else ("calib",)
-    return [gate.unadapted(x)[1] for split in splits for x, _ in dataset.pairs(split)]
+    xs = [x for split in splits for x, _ in dataset.pairs(split)]
+    step = RunConfig.batch_size
+    return [eps for i in range(0, len(xs), step)
+            for eps in runner.gate(np.stack(xs[i:i + step]))[1]]
 
 
 def calibrate_tau(cfg: RunConfig, task: TaskModel, suite: ReconSuite,
@@ -355,8 +360,9 @@ def write_csv(rows: list[dict], path: Path, columns: list[str]) -> None:
 
 
 def read_report_csv(path) -> list[dict]:
-    """The typed rows of a report.csv; a row with missing or extra fields, as
-    a run killed midway leaves, raises ValueError naming the file and line."""
+    """The typed rows of a report.csv; a row with missing or extra fields, or
+    a file without rows, as a run killed midway leaves, raises ValueError
+    naming the file (and the line)."""
     rows = []
     with open(path, newline="") as f:
         reader = csv.DictReader(f)
@@ -370,6 +376,8 @@ def read_report_csv(path) -> list[dict]:
                     continue
                 r[key] = int(r[key]) if key.endswith(("_evaluated", "_total")) else float(r[key])
             rows.append(r)
+    if not rows:
+        raise ValueError(f"{path}: holds no sample rows")
     return rows
 
 

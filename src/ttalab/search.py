@@ -338,11 +338,21 @@ class TtaRunner:
     loss_weights: tuple[float, float, float] = (1.0, 1.0, 1.0)
     seed: int = 0
 
-    def unadapted(self, x: np.ndarray) -> tuple[np.ndarray, float]:
+    def gate(self, xb: np.ndarray) -> tuple[np.ndarray, list[float]]:
+        """The gate pass over a block [B, C, H, W]: the unadapted outputs
+        [B, C, H, W] and each row's eps_y, the mean-L1 R_y error of that
+        row alone (a non-finite one raises NumericError)."""
         with T.no_grad():
-            trace = translate(self.task, Tensor(np.asarray(x, dtype=np.float32)))
-            eps_y = self.suite.member_error("y", trace.output).item()
-        return trace.output.data.copy(), eps_y
+            out = translate(self.task, Tensor(np.asarray(xb, dtype=np.float32))).output
+            rec = self.suite.members["y"].forward(out)
+            eps_y = [T.l1_distance(Tensor(o), Tensor(r)).item()
+                     for o, r in zip(out.data, rec.data)]
+        return out.data.copy(), eps_y
+
+    def unadapted(self, x: np.ndarray) -> tuple[np.ndarray, float]:
+        """The gate pass of one sample [C, H, W]: its output and eps_y."""
+        outputs, eps_y = self.gate(np.asarray(x)[None])
+        return outputs[0], eps_y[0]
 
     def run_sample(self, x: np.ndarray, strategy: str, tau: float,
                    sample_index: int = 0, trace_sink: list | None = None) -> SearchOutcome:

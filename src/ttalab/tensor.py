@@ -23,7 +23,10 @@ A value that reaches none of these (a feature of a forward_trace stopped
 early, say) is checked where it is next used on the tape.
 
 Convolutions canonically take a single sample [C,H,W]; a leading batch axis
-[B,C,H,W] is accepted everywhere and treated independently per sample.
+[B,C,H,W] is accepted everywhere and treated independently per sample. Under
+no_grad (inference) the im2col convolutions (conv2d, conv_layer) also give each
+sample GEMMs of its own, so a batch gives every sample bitwise its output
+alone; on the tape, and in conv2d_1x1, a batch is one GEMM.
 
 Memory format: shapes are NCHW everywhere, but the convolutions, upsample and
 concat build their outputs and input gradients channels-last, as PyTorch's
@@ -357,14 +360,18 @@ def _im2col(x4: np.ndarray, kh: int, kw: int, stride: int) -> tuple[np.ndarray, 
 
 def _correlate(xp: np.ndarray, kmat: np.ndarray, kh: int, kw: int,
                stride: int) -> tuple[np.ndarray, np.ndarray]:
-    """Valid cross-correlation of padded [B,C,H,W] with kmat [kh*kw*C, C_out] as one GEMM.
+    """Valid cross-correlation of padded [B,C,H,W] with kmat [kh*kw*C, C_out] as one GEMM,
+    or under no_grad as one GEMM per sample, a stacked matmul over the same im2col matrix.
 
-    Returns the [B,C_out,Ho,Wo] result, a channels-last view of the GEMM's
-    output, and the im2col matrix it multiplied.
+    BLAS picks its kernel, and with it the order of the sums, by the matrix
+    sizes, so only the per-sample form gives each sample bitwise its result
+    in a batch of one. Returns the [B,C_out,Ho,Wo] result, a channels-last
+    view of the GEMM's output, and the im2col matrix it multiplied.
     """
     cols, ho, wo = _im2col(xp, kh, kw, stride)
-    out = (cols @ kmat).reshape(xp.shape[0], ho, wo, kmat.shape[1])
-    return _nchw(out), cols
+    b = xp.shape[0]
+    out = (cols if _GRAD_ENABLED else cols.reshape(b, ho * wo, -1)) @ kmat
+    return _nchw(out.reshape(b, ho, wo, kmat.shape[1])), cols
 
 
 def _gemm_form(kernel: np.ndarray, stride: int) -> np.ndarray:

@@ -187,6 +187,25 @@ def test_bad_evaluate_input_is_an_error(tmp_path, capsys, case, message):
     assert err.startswith("ttalab: error:") and message in err
 
 
+@pytest.mark.parametrize("command", ["evaluate", "compare"])
+@pytest.mark.parametrize("content", ["header only", "empty"])
+def test_report_without_rows_is_an_error(tmp_path, capsys, command, content):
+    # a run killed after writing the header (or before) leaves no rows to score
+    runs = [_written_run(tmp_path / "w1"), _written_run(tmp_path / "w2", strategy="fs")]
+    for run_dir in runs:
+        write_csv([], run_dir / "report.csv", REPORT_COLUMNS)
+        if content == "empty":
+            (run_dir / "report.csv").write_text("")
+    out_stem = tmp_path / "cmp"
+    args = (["evaluate", str(runs[0])] if command == "evaluate"
+            else ["compare", *map(str, runs), "--out", str(out_stem)])
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"ttalab: error: {runs[0] / 'report.csv'}: holds no sample")
+    assert captured.out == ""
+    assert not out_stem.with_suffix(".json").exists()
+
+
 def test_dump_traces(cli_workspace, capsys):
     root, cfg = cli_workspace
     assert main(["dump-traces", "--config", str(cfg), "--strategy", "grid",

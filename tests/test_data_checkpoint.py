@@ -1,4 +1,5 @@
 import builtins
+import errno
 import io
 import json
 import subprocess
@@ -73,6 +74,19 @@ class TestSyntheticData:
                               make_pair(weak, "id_test", 0)[0])
         assert not np.array_equal(make_pair(strong, "ood_test", 0)[0],
                                   make_pair(weak, "ood_test", 0)[0])
+
+    @pytest.mark.parametrize("kw", [dict(), dict(kind="style", shift=ShiftParams(gamma=1.5, blur=1.2)),
+                                    dict(noise_mix=0.0)], ids=["default", "gamma-blur", "white"])
+    def test_blocks_equal_single_pairs(self, kw):
+        # 130 samples span two synthesis blocks; a pair alone is a block of one
+        spec = tiny_spec(train=130, ood_test=130, **kw)
+        ds = synthesize(spec)
+        for split, samples in ds.samples.items():
+            assert len(samples) == spec.split_size(split)
+            for i, (sid, x, y) in enumerate(samples):
+                x1, y1 = make_pair(spec, split, i)
+                assert sid == f"{split}-{i:04d}"
+                assert np.array_equal(x, x1) and np.array_equal(y, y1)
 
     def test_zero_train_size_rejected(self):
         with pytest.raises(ValueError, match="train size"):
@@ -257,6 +271,45 @@ class TestCheckpoints:
             assert sorted(e["file"] for e in manifest["params"]) == \
                 sorted(str(p.relative_to(root)) for p in root.rglob("*.tnsr"))
         assert (tmp_path / "suite" / "member_y" / "layer3.bias.tnsr").exists()
+
+    def test_save_cut_off_midway_keeps_the_earlier_checkpoint(self, tmp_path, small_stack,
+                                                              monkeypatch):
+        _, task, _ = small_stack
+        save_task(task, tmp_path / "task")
+        other = load_task(tmp_path / "task")
+        other.layers[0].weight.data = other.layers[0].weight.data + 1.0
+        real_open = io.open
+
+        class DiskFull:
+            """A blob file that takes half its bytes, then runs out of space."""
+
+            def __init__(self, f):
+                self.f = f
+
+            def write(self, data):
+                self.f.write(data[:len(data) // 2])
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+        def filling(file, mode="r", *args, **kwargs):
+            f = real_open(file, mode, *args, **kwargs)
+            return DiskFull(f) if "w" in mode and ".tnsr" in str(file) else f
+
+        with monkeypatch.context() as m:
+            # Path.write_bytes opens through io.open, a bare open() through builtins
+            m.setattr(io, "open", filling)
+            m.setattr(builtins, "open", filling)
+            with pytest.raises(OSError, match="No space"):
+                save_task(other, tmp_path / "task")
+        assert load_task(tmp_path / "task").checksum() == task.checksum()
+        assert sorted(p.name for p in (tmp_path / "task").iterdir()) == \
+            sorted(f"layer{i}.{a}.tnsr" for i in range(len(task.layers))
+                   for a in ("weight", "bias")) + ["manifest.json"]
 
     def test_each_blob_read_once(self, tmp_path, small_stack, monkeypatch):
         _, task, suite = small_stack

@@ -620,6 +620,14 @@ class TestArtifactReuse:
         self.build(cfg.with_overrides(**override))
         assert counted == {"task": 2, "suite": 2}
 
+    def test_channel_settings_of_the_same_plan_reuse_both(self, tmp_path, counted):
+        # at n_layers 5 and base_channels 4 the plan's widest layer has 8 channels,
+        # so a max_channels above 8 builds the same model
+        cfg = self.config(tmp_path)
+        first = self.build(cfg)
+        assert self.build(cfg.with_overrides(max_channels=16)) == first
+        assert counted == {"task": 1, "suite": 1}
+
     def test_changed_recon_schedule_retrains_suite_only(self, tmp_path, counted):
         cfg = self.config(tmp_path)
         self.build(cfg)
@@ -840,3 +848,12 @@ class TestArtifactReuse:
         assert counted == {"task": 2, "suite": 2}
         recon = tmp_path / "recon"
         assert list(recon.rglob("manifest.json")) == [recon / "manifest.json"]
+
+
+def test_transductive_calibration_equals_the_run_gate(small_stack):
+    # calibration gates in blocks, run_tta one sample at a time: the same errors
+    ds, task, suite = small_stack
+    errors = P.calibration_errors(task, suite, ds, transductive=True)
+    rows = P.run_tta(RunConfig(steps=2), task, suite, ds, tau=max(errors) + 1.0)
+    assert len(errors) == len(rows) == 32
+    assert [r["eps_unadapted"] for r in rows] == errors

@@ -603,3 +603,38 @@ class TestEveryConfigurationFailing:
         TtaRunner(task=task, suite=suite, m_steps=2).run_sample(ds.pairs("ood_test")[0][0],
                                                                strategy, tau=0.0)
         assert gates == ["unadapted"]
+
+
+class TestBlockGate:
+    """TtaRunner.gate over a block gives each row exactly its serial gate pass."""
+
+    @staticmethod
+    def serial(task, suite, x):
+        # the per-sample definition: an unbatched translate, then R_y's mean-L1
+        with T.no_grad():
+            out = S.translate(task, T.Tensor(x)).output
+            return out.data, suite.member_error("y", out).item()
+
+    @pytest.mark.parametrize("block", [1, 8, 13])
+    def test_rows_equal_the_serial_pass(self, small_stack, block):
+        ds, task, suite = small_stack
+        xs = [x for x, _ in ds.pairs("id_test") + ds.pairs("ood_test")][:13]  # 8 + a tail of 5
+        runner = TtaRunner(task=task, suite=suite)
+        outputs, errors = [], []
+        for i in range(0, len(xs), block):
+            out, eps = runner.gate(np.stack(xs[i:i + block]))
+            assert out.shape == (len(xs[i:i + block]), *xs[0].shape) and len(eps) == len(out)
+            outputs += list(out)
+            errors += eps
+        for x, out, eps in zip(xs, outputs, errors):
+            ref_out, ref_eps = self.serial(task, suite, x)
+            one_out, one_eps = runner.unadapted(x)
+            assert type(eps) is float and eps == ref_eps == one_eps
+            assert np.array_equal(out, ref_out) and np.array_equal(one_out, ref_out)
+
+    def test_non_finite_row_raises(self, small_stack):
+        ds, task, suite = small_stack
+        block = np.stack([x for x, _ in ds.pairs("id_test")[:8]])
+        block[3, 0, 5, 7] = np.inf
+        with np.errstate(invalid="ignore"), pytest.raises(NumericError):
+            TtaRunner(task=task, suite=suite).gate(block)
